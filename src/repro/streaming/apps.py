@@ -40,8 +40,12 @@ class WindowAnalyzer:
         The default replays the span's backing frames through
         :meth:`on_frame`, so every analyzer works unchanged under the
         chunked engine; analyzers with a vectorizable frame hook can
-        override this with a columnar implementation.
+        override this with a columnar implementation.  Analyzers that
+        keep the no-op :meth:`on_frame` skip the replay (and the frame
+        decoding it would cost).
         """
+        if type(self).on_frame is WindowAnalyzer.on_frame:
+            return
         for row in range(lo, hi):
             self.on_frame(table.frame_at(row))
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
@@ -26,22 +28,34 @@ from repro.streaming.windows import ClosedWindow
 @dataclass(slots=True)
 class StreamCandidate:
     """One matched window candidate (streaming analogue of
-    :class:`~repro.core.detection.WindowCandidate`)."""
+    :class:`~repro.core.detection.WindowCandidate`).
+
+    ``scores[i]`` is the candidate's similarity to ``references[i]``;
+    every candidate of a window shares that window's ``references``
+    tuple (database order) and holds its row of the score matrix.
+    """
 
     device: MacAddress
     window_index: int
     signature: Signature
-    similarities: dict[MacAddress, float]
+    references: tuple[MacAddress, ...]
+    scores: np.ndarray
+
+    @property
+    def similarities(self) -> dict[MacAddress, float]:
+        """Reference -> similarity, built on demand."""
+        return dict(zip(self.references, self.scores.tolist()))
 
     @property
     def best(self) -> tuple[MacAddress | None, float]:
-        """Argmax reference and its similarity ((None, 0.0) if empty)."""
-        winner: MacAddress | None = None
-        best_score = 0.0
-        for device, score in self.similarities.items():
-            if winner is None or score > best_score:
-                winner, best_score = device, score
-        return winner, best_score
+        """Argmax reference and its similarity ((None, 0.0) if empty).
+
+        Ties go to the first reference in database order.
+        """
+        if len(self.scores) == 0:
+            return None, 0.0
+        winner = int(np.argmax(self.scores))
+        return self.references[winner], float(self.scores[winner])
 
 
 class OnlineMatcher:
@@ -73,13 +87,14 @@ class OnlineMatcher:
             self.database,
             self.measure,
         )
-        references = self.database.devices
+        references = tuple(self.database.devices)
         return [
             StreamCandidate(
                 device=device,
                 window_index=closed.index,
                 signature=closed.signatures[device],
-                similarities=dict(zip(references, row.tolist())),
+                references=references,
+                scores=row,
             )
             for device, row in zip(devices, scores)
         ]

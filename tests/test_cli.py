@@ -163,6 +163,44 @@ class TestCommands:
         assert any(payload["event"] == "WindowClosed" for payload in lines)
         assert any(payload["event"] == "DeviceMatched" for payload in lines)
 
+    @pytest.mark.parametrize(
+        "analyzer, alert",
+        [("--spoof-guard", "SpoofAlert"), ("--track", "PseudonymLinked")],
+    )
+    def test_stream_chunked_analyzer_events_match_per_frame(
+        self, tmp_path, office_pcap, small_office_trace, analyzer, alert, capsys
+    ):
+        import random
+        from collections import Counter
+
+        from repro.applications.attacks import spoof_mac
+        from repro.radiotap.pcap import write_trace_pcap
+
+        db_path = tmp_path / "refs.json"
+        assert main(["learn", str(office_pcap), "--db", str(db_path)]) == 0
+        # One station under a randomised MAC: unknown to the spoof
+        # guard's allow-list, a pseudonym for the tracker to link.
+        frames = small_office_trace.frames
+        (device, _), = Counter(
+            f.sender for f in frames if f.sender is not None
+        ).most_common(1)
+        pcap = tmp_path / "renamed.pcap"
+        write_trace_pcap(
+            pcap,
+            spoof_mac(frames, device, device.randomized(random.Random(1))),
+        )
+        outputs = []
+        for chunking in ([], ["--chunk-frames", "64"]):
+            events = tmp_path / f"events-{len(outputs)}.jsonl"
+            assert main(
+                ["stream", str(pcap), "--db", str(db_path), "--window-s", "30",
+                 analyzer, "--events", str(events)] + chunking
+            ) == 0
+            outputs.append(events.read_text())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert f'"event": "{alert}"' in outputs[0]
+
     def test_stream_parser_defaults(self):
         args = build_parser().parse_args(["stream", "x.pcap", "--db", "d.json"])
         assert args.command == "stream"

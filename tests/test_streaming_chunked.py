@@ -273,3 +273,81 @@ class TestPromptEviction:
                 InterArrivalTime(), sink, window_s=3600.0, idle_timeout_s=5.0
             ).run_chunked(table_chunks(frames, chunk_frames))
             assert sink.events == ref_sink.events
+
+
+class TestChunkedAnalyzers:
+    """Analyzers under the chunked engine see what the per-frame engine
+    shows them; frame-less analyzers need no backing frames at all."""
+
+    @staticmethod
+    def events(analyzer_factory, chunks=None, frames=None):
+        sink = CollectingSink()
+        engine = StreamEngine(
+            lambda: StreamingSignatureBuilder(
+                InterArrivalTime(), min_observations=30
+            ),
+            window=WindowConfig(window_s=1.0),
+            analyzers=[analyzer_factory()],
+            sinks=[sink],
+        )
+        if chunks is not None:
+            engine.run_chunked(chunks)
+        else:
+            engine.run(frames)
+        return sink.events
+
+    def test_frame_less_analyzers_skip_the_frame_replay(self):
+        from repro.applications.attacks import spoof_mac
+        from repro.applications.spoof_detector import SpoofDetector
+        from repro.applications.tracker import DeviceTracker
+        from repro.streaming import (
+            LiveTracker,
+            OnlineSpoofGuard,
+            PseudonymLinked,
+            SpoofAlert,
+        )
+
+        detector = SpoofDetector(min_observations=30)
+        detector.learn(FRAMES[:600], set(TABLE.senders[:3]))
+        tracker = DeviceTracker(min_observations=30, link_threshold=0.0)
+        tracker.learn(FRAMES[:600])
+        device = TABLE.senders[0]
+        pseudonymous = spoof_mac(FRAMES, device, device.randomized(random.Random(3)))
+        for factory, frames, alert in (
+            (lambda: OnlineSpoofGuard(detector), FRAMES, SpoofAlert),
+            (lambda: LiveTracker(tracker), pseudonymous, PseudonymLinked),
+        ):
+            expected = self.events(factory, frames=frames)
+            assert any(isinstance(event, alert) for event in expected)
+            # No backing frames: frame_at raises if anything asks for one.
+            table = FrameTable.from_frames(frames)
+            bare = FrameTable(
+                table.timestamp_us, table.size, table.rate_mbps, table.sender_idx,
+                table.ftype_idx, table.senders, table.ftype_keys,
+            )
+            chunks = replay_chunk_source(bare, 97)
+            assert self.events(factory, chunks=chunks) == expected
+
+    def test_frame_hook_analyzer_reads_lazily_decoded_pcap_frames(self, tmp_path):
+        from repro.applications.rogue_ap import RogueApDetector
+        from repro.core.parameters import FrameSize
+        from repro.radiotap.pcap import write_trace_pcap
+        from repro.streaming import (
+            OnlineRogueApGuard,
+            RogueApAlert,
+            pcap_chunk_source,
+            pcap_source,
+        )
+
+        path = tmp_path / "capture.pcap"
+        write_trace_pcap(path, FRAMES)
+        ap = TABLE.senders[0]
+        detector = RogueApDetector(parameter=FrameSize(), min_observations=1)
+        assert detector.learn(FRAMES, ap)
+        detector.accept_threshold = 1.01  # force an alert per window
+        factory = lambda: OnlineRogueApGuard(detector, ap)  # noqa: E731
+        expected = self.events(factory, frames=pcap_source(path))
+        alerts = [event for event in expected if isinstance(event, RogueApAlert)]
+        assert alerts and all(alert.observations > 0 for alert in alerts)
+        chunked = self.events(factory, chunks=pcap_chunk_source(path, chunk_frames=97))
+        assert chunked == expected

@@ -12,22 +12,27 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import DetectionConfig, extract_window_candidates
 from repro.core.parameters import InterArrivalTime
-from repro.core.signature import SignatureBuilder
+from repro.core.matcher import batch_match_signatures
+from repro.core.signature import Signature, SignatureBuilder
+from repro.dot11.mac import vendor_mac
 from repro.streaming import (
     CollectingSink,
     DeviceMatched,
     JsonLinesSink,
     LiveTracker,
+    OnlineMatcher,
     OnlineRogueApGuard,
     OnlineSpoofGuard,
     PseudonymLinked,
     RogueApAlert,
     SpoofAlert,
+    StreamCandidate,
     StreamEngine,
     StreamingSignatureBuilder,
     WindowClosed,
@@ -35,6 +40,7 @@ from repro.streaming import (
     pcap_source,
     replay_source,
 )
+from repro.streaming.windows import ClosedWindow
 
 PARAMETER = InterArrivalTime()
 WINDOW_S = 15.0
@@ -403,6 +409,78 @@ class TestApplicationAdapters:
             for window in _windows_of(frames, 1.0)
         ]
         assert streamed == expected == [4, 2]
+
+
+def _closed(signatures) -> ClosedWindow:
+    return ClosedWindow(
+        index=0,
+        start_us=0.0,
+        end_us=1.0,
+        frame_count=0,
+        signatures=signatures,
+        senders=set(signatures),
+    )
+
+
+def _dict_best(similarities):
+    """The dict-walking argmax the array-backed ``best`` replaced."""
+    winner, best_score = None, 0.0
+    for device, score in similarities.items():
+        if winner is None or score > best_score:
+            winner, best_score = device, score
+    return winner, best_score
+
+
+class TestStreamCandidate:
+    SIGNATURE = Signature(
+        histograms={"Data": np.array([1.0, 2.0, 0.0])}, weights={"Data": 1.0}
+    )
+
+    def test_tie_goes_to_first_reference_in_database_order(self):
+        later, earlier = vendor_mac("00:13:e8", 9), vendor_mac("00:13:e8", 1)
+        database = ReferenceDatabase()
+        database.add(later, self.SIGNATURE)  # added first, sorts last
+        database.add(earlier, self.SIGNATURE)
+        candidate = vendor_mac("00:18:f8", 5)
+        (match,) = OnlineMatcher(database).match_window(
+            _closed({candidate: self.SIGNATURE})
+        )
+        assert match.references == (later, earlier)
+        assert match.scores[0] == match.scores[1]
+        best_device, best_score = match.best
+        assert best_device == later
+        assert type(best_score) is float and best_score == match.scores[0]
+
+    def test_empty_database_yields_no_candidates(self):
+        matcher = OnlineMatcher(ReferenceDatabase())
+        closed = _closed({vendor_mac("00:18:f8", 5): self.SIGNATURE})
+        assert matcher.match_window(closed) == []
+
+    def test_no_scores_means_no_best(self):
+        empty = StreamCandidate(
+            device=vendor_mac("00:18:f8", 5),
+            window_index=0,
+            signature=self.SIGNATURE,
+            references=(),
+            scores=np.zeros(0),
+        )
+        assert empty.best == (None, 0.0)
+        assert empty.similarities == {}
+
+    def test_similarities_and_best_equal_the_dict_form(self, reference_setup):
+        _, database, split = reference_setup
+        builder = StreamingSignatureBuilder(PARAMETER, min_observations=MIN_OBS)
+        for frame in split.validation.frames:
+            builder.update(frame)
+        signatures = builder.signatures()
+        assert signatures
+        matches = OnlineMatcher(database).match_window(_closed(signatures))
+        scores = batch_match_signatures(list(signatures.values()), database)
+        for match, row in zip(matches, scores):
+            expected = dict(zip(database.devices, row.tolist()))
+            assert match.similarities == expected
+            assert list(match.similarities) == database.devices
+            assert match.best == _dict_best(expected)
 
 
 def _windows_of(frames, window_s):
