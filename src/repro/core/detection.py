@@ -57,7 +57,7 @@ class WindowCandidate:
 
 def _columnar_window_candidates(
     validation: Trace, builder: SignatureBuilder, config: DetectionConfig
-) -> list[WindowCandidate] | None:
+) -> list[WindowCandidate]:
     """All window candidates via the columnar fast path (DESIGN.md §6).
 
     Observations for the *whole* validation trace are extracted and
@@ -65,12 +65,9 @@ def _columnar_window_candidates(
     slice of that batch.  A window's first ``table_memory`` rows are
     excluded so a channel-clock observation never reaches back across
     the window boundary — exactly reproducing per-window extraction.
-    Returns ``None`` when the parameter has no columnar extractor.
     """
     table = validation.table()
     observed = builder.parameter.observe_table(table)
-    if observed is None:
-        return None
     bin_idx = builder.bins.index_many(observed.values)
     memory = builder.parameter.table_memory
     candidates: list[WindowCandidate] = []
@@ -110,10 +107,9 @@ def extract_window_candidates(
     on the trace's :class:`~repro.traces.table.FrameTable`: one
     vectorized observation/binning pass over the whole validation
     trace, O(log n) window cuts, one ``np.bincount`` scatter per
-    window — falling back to the per-window object path only for
-    parameters without a columnar extractor.  ``columnar=False``
-    forces the object reference path (used by the equivalence
-    benchmark).  Both paths produce bin-for-bin identical candidates.
+    window.  ``columnar=False`` runs the per-window object reference
+    path instead (used by the equivalence tests and benchmarks).  Both
+    paths produce bin-for-bin identical candidates.
 
     Candidate signatures are collected first, then matched in a single
     :func:`~repro.core.matcher.batch_match_signatures` call — for the
@@ -121,10 +117,9 @@ def extract_window_candidates(
     over every (window, device) candidate at once.
     """
     chosen = measure if measure is not None else config.measure
-    candidates: list[WindowCandidate] | None = None
     if columnar:
         candidates = _columnar_window_candidates(validation, builder, config)
-    if candidates is None:
+    else:
         candidates = []
         for window_index, window in enumerate(validation.windows(config.window_s)):
             for device, signature in builder.build(window.frames).items():

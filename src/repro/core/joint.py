@@ -15,30 +15,13 @@ aggressive backoff", which the marginals confuse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.core.histogram import BinSpec
-from repro.core.parameters import (
-    NetworkParameter,
-    Observation,
-    parameter_by_name,
-)
+from repro.core.parameters import NetworkParameter, parameter_by_name
 from repro.dot11.capture import CapturedFrame
-from repro.dot11.phy import paper_transmission_time_us
-
-#: Per-frame value functions.  ``previous_t`` is the end-of-reception
-#: of the previous frame on the channel (None for the first frame).
-_VALUE_FUNCTIONS: dict[str, Callable[[CapturedFrame, float | None], float | None]] = {
-    "rate": lambda c, prev: c.rate_mbps,
-    "size": lambda c, prev: float(c.size),
-    "txtime": lambda c, prev: paper_transmission_time_us(c.size, c.rate_mbps),
-    "interarrival": lambda c, prev: None if prev is None else c.timestamp_us - prev,
-    "access": lambda c, prev: (
-        None
-        if prev is None
-        else (c.timestamp_us - paper_transmission_time_us(c.size, c.rate_mbps)) - prev
-    ),
-}
+from repro.traces.table import FrameTable, TableObservations
 
 
 @dataclass(frozen=True)
@@ -56,9 +39,15 @@ class JointBins(BinSpec):
     bin_count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        if self.y_bins.bin_count > self._BASE:
+            raise ValueError(
+                f"y bin count {self.y_bins.bin_count} exceeds the joint "
+                f"encoding base {self._BASE}"
+            )
         object.__setattr__(self, "bin_count", self.x_bins.bin_count * self.y_bins.bin_count)
 
-    #: Encoding base: must exceed any bin count a spec can produce.
+    #: Encoding base: ``y_bins`` may have at most this many bins, so
+    #: ``ix * _BASE + iy`` never aliases two pairs.
     _BASE = 1 << 20
 
     def encode(self, x: float, y: float) -> float | None:
@@ -86,7 +75,9 @@ class JointParameter(NetworkParameter):
 
     ``x``/``y`` are base-parameter names (``rate``, ``size``,
     ``txtime``, ``interarrival``, ``access``).  Bin specs default to
-    the base parameters' own defaults.
+    the base parameters' own defaults.  A frame yields a joint
+    observation when both base parameters observe it and both values
+    land in a bin.
     """
 
     def __init__(
@@ -96,38 +87,46 @@ class JointParameter(NetworkParameter):
         x_bins: BinSpec | None = None,
         y_bins: BinSpec | None = None,
     ) -> None:
-        if x not in _VALUE_FUNCTIONS or y not in _VALUE_FUNCTIONS:
-            raise KeyError(f"unknown base parameter in joint pair: ({x}, {y})")
+        self._x = parameter_by_name(x)
+        self._y = parameter_by_name(y)
         if x == y:
             raise ValueError("joint parameter needs two distinct base parameters")
-        self._x = x
-        self._y = y
         self.name = f"joint:{x}x{y}"
-        self.label = (
-            f"Joint {parameter_by_name(x).label} × {parameter_by_name(y).label}"
-        )
+        self.label = f"Joint {self._x.label} × {self._y.label}"
+        # A joint observation reaches back as far as either base one.
+        self.table_memory = max(self._x.table_memory, self._y.table_memory)
         self._bins = JointBins(
-            x_bins=x_bins if x_bins is not None else parameter_by_name(x).default_bins(),
-            y_bins=y_bins if y_bins is not None else parameter_by_name(y).default_bins(),
+            x_bins=x_bins if x_bins is not None else self._x.default_bins(),
+            y_bins=y_bins if y_bins is not None else self._y.default_bins(),
         )
 
     def default_bins(self) -> BinSpec:
         return self._bins
 
-    def observations(
-        self, frames: Iterable[CapturedFrame]
-    ) -> Iterator[Observation]:
-        fx = _VALUE_FUNCTIONS[self._x]
-        fy = _VALUE_FUNCTIONS[self._y]
-        previous_t: float | None = None
-        for captured in frames:
-            if captured.sender is not None:
-                x_value = fx(captured, previous_t)
-                y_value = fy(captured, previous_t)
-                if x_value is not None and y_value is not None:
-                    encoded = self._bins.encode(x_value, y_value)
-                    if encoded is not None:
-                        yield Observation(
-                            captured.sender, captured.ftype_key, encoded
-                        )
-            previous_t = captured.timestamp_us
+    def value(
+        self, frame: CapturedFrame, previous_t: float | None
+    ) -> float | None:
+        x_value = self._x.value(frame, previous_t)
+        y_value = self._y.value(frame, previous_t)
+        if x_value is None or y_value is None:
+            return None
+        return self._bins.encode(x_value, y_value)
+
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
+        x = self._x.observe_table(table, previous_t)
+        y = self._y.observe_table(table, previous_t)
+        positions, in_x, in_y = np.intersect1d(
+            x.positions, y.positions, assume_unique=True, return_indices=True
+        )
+        ix = self._bins.x_bins.index_many(x.values[in_x])
+        iy = self._bins.y_bins.index_many(y.values[in_y])
+        kept = (ix >= 0) & (iy >= 0)
+        positions = positions[kept]
+        return TableObservations(
+            sender_idx=table.sender_idx[positions],
+            ftype_idx=table.ftype_idx[positions],
+            values=(ix[kept] * JointBins._BASE + iy[kept]).astype(np.float64),
+            positions=positions,
+        )

@@ -19,20 +19,23 @@ Section IV-A semantics:
 All parameters also accept a *default binning* used throughout the
 evaluation (ablated in ``benchmarks/test_ablation_bin_width.py``).
 
-Each parameter has three equivalent extractors: the scalar reference
-:meth:`~NetworkParameter.observations`, the O(1)-per-frame streaming
-:meth:`~NetworkParameter.online`, and the vectorized
-:meth:`~NetworkParameter.observe_table` over a columnar
-:class:`~repro.traces.table.FrameTable` (the hot batch path; the
-time-derived parameters become shifted-array subtractions under a
-sender mask — DESIGN.md §6).  Equivalence is property-pinned in
-``tests/test_parameters.py`` and ``tests/test_table.py``.
+Each parameter writes its formula twice: :meth:`~NetworkParameter.value`
+is the scalar formula for one frame given the channel clock (the
+per-frame streaming hot path and the reference the tests compare
+against), and :meth:`~NetworkParameter.observe_table` is the same
+formula vectorized over a columnar
+:class:`~repro.traces.table.FrameTable` (the time-derived parameters
+become shifted-array subtractions under a sender mask — DESIGN.md §6).
+Everything else is generic and written once here:
+:meth:`~NetworkParameter.observations` and :class:`ObservationStream`,
+whose only state is the channel clock.  Equivalence is property-pinned
+in ``tests/test_parameters.py`` and ``tests/test_table.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,7 +56,13 @@ class Observation:
 
 
 class NetworkParameter:
-    """Base class: a passively measurable per-frame quantity."""
+    """Base class: a passively measurable per-frame quantity.
+
+    Every parameter is causal with one frame of memory: an observation
+    depends only on its frame and the channel clock ``t_{i-1}``, the
+    end-of-reception of the previous frame on the channel (any sender,
+    ACK/CTS included).
+    """
 
     #: Short identifier used in tables and the CLI.
     name: str = "abstract"
@@ -71,34 +80,39 @@ class NetworkParameter:
         """Binning used by the evaluation unless overridden."""
         raise NotImplementedError
 
+    def value(self, frame: CapturedFrame, previous_t: float | None) -> float | None:
+        """The formula for one attributable frame.
+
+        ``previous_t`` is the channel clock ``t_{i-1}`` (``None`` for
+        the first frame of a capture); ``None`` means the frame yields
+        no observation.
+        """
+        raise NotImplementedError
+
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
+        """:meth:`value` vectorized over a columnar table.
+
+        Returns the observation batch as aligned arrays — the same
+        (sender, frame type, value) sequence :meth:`observations`
+        yields on ``table.to_frames()``, bit for bit.  ``previous_t``
+        is the channel clock carried in from the rows before the table
+        (the previous chunk of a stream); when given, row 0 observes
+        against it.
+        """
+        raise NotImplementedError
+
     def observations(
         self, frames: Iterable[CapturedFrame]
     ) -> Iterator[Observation]:
         """Yield attributed observations from a frame sequence."""
-        raise NotImplementedError
-
-    def observe_table(self, table: FrameTable) -> TableObservations | None:
-        """Vectorized observation extraction over a columnar table.
-
-        Returns the full observation batch as aligned arrays — the
-        same (sender, frame type, value) sequence :meth:`observations`
-        yields on ``table.to_frames()``, bit for bit — or ``None`` when
-        the parameter has no columnar implementation, in which case
-        callers fall back to the object path.  The five built-in
-        parameters all vectorize.
-        """
-        return None
+        stream = self.online()
+        for frame in frames:
+            yield from stream.push(frame)
 
     def online(self) -> "ObservationStream":
-        """A stateful frame-by-frame extractor (streaming engine).
-
-        Feeding frames one at a time through :meth:`ObservationStream.push`
-        yields exactly the observation sequence :meth:`observations`
-        produces on the whole list.  The five built-in parameters
-        override this with O(1)-per-frame extractors; the base
-        implementation works for any causal parameter with at most one
-        frame of memory (see :class:`ObservationStream`).
-        """
+        """A stateful extractor fed one frame or one chunk at a time."""
         return ObservationStream(self)
 
     def __repr__(self) -> str:
@@ -106,183 +120,81 @@ class NetworkParameter:
 
 
 class ObservationStream:
-    """Incremental observation extraction: one frame per :meth:`push`.
+    """Incremental observation extraction (streaming engine).
 
-    The generic implementation exploits that every Section III
-    parameter is *causal with one frame of memory* — the observations a
-    frame contributes depend only on that frame and its predecessor
-    (the channel clock ``t_{i-1}``).  Each push therefore re-runs the
-    batch extractor over the ``(previous, current)`` pair and drops the
-    prefix the previous frame alone would have produced.  Parameters
-    with longer memory must override :meth:`NetworkParameter.online`.
+    The stream's whole state is the channel clock ``t_{i-1}``, carried
+    across :meth:`push` calls (one frame) and :meth:`push_table` calls
+    (one chunk span) alike, so any interleaving of the two yields the
+    observations of pushing every frame one at a time.
     """
 
-    __slots__ = ("_parameter", "_previous")
+    __slots__ = ("_parameter", "_previous_t")
 
     def __init__(self, parameter: NetworkParameter) -> None:
         self._parameter = parameter
-        self._previous: CapturedFrame | None = None
-
-    def push(self, frame: CapturedFrame) -> tuple[Observation, ...]:
-        """Observations this frame contributes, in batch order."""
-        if self._previous is None:
-            produced = tuple(self._parameter.observations([frame]))
-        else:
-            prefix = sum(1 for _ in self._parameter.observations([self._previous]))
-            produced = tuple(
-                self._parameter.observations([self._previous, frame])
-            )[prefix:]
-        self._previous = frame
-        return produced
-
-    def push_table(
-        self, table: FrameTable, lo: int, hi: int
-    ) -> TableObservations | None:
-        """Vectorized push of chunk rows ``[lo, hi)`` (chunked streaming).
-
-        Returns the observation batch those rows contribute given the
-        stream's current state — exactly what feeding each backing
-        frame through :meth:`push` would yield, with ``positions`` in
-        the chunk's row coordinates — and advances the state past row
-        ``hi - 1``.  Returns ``None`` when no columnar fast path
-        exists, in which case callers fall back to per-frame pushes.
-        """
-        return None
-
-    def export_state(self) -> dict:
-        """Checkpointable state (see :mod:`repro.persistence.checkpoint`).
-
-        The generic stream's whole memory is its predecessor frame;
-        the checkpoint layer knows how to serialise a
-        :class:`~repro.dot11.capture.CapturedFrame` it finds in here.
-        """
-        return {"previous_frame": self._previous}
-
-    def restore_state(self, state: dict) -> None:
-        """Re-arm the stream from :meth:`export_state` output."""
-        self._previous = state.get("previous_frame")
-
-
-class _PerFrameStream(ObservationStream):
-    """O(1) stream for values that are pure functions of one frame."""
-
-    __slots__ = ("_value",)
-
-    def __init__(
-        self, parameter: NetworkParameter, value: "Callable[[CapturedFrame], float]"
-    ) -> None:
-        super().__init__(parameter)
-        self._value = value
-
-    def push(self, frame: CapturedFrame) -> tuple[Observation, ...]:
-        sender = frame.sender
-        if sender is None:
-            return ()
-        return (Observation(sender, frame.ftype_key, self._value(frame)),)
-
-    def push_table(
-        self, table: FrameTable, lo: int, hi: int
-    ) -> TableObservations | None:
-        # Pure per-frame values carry no state: the chunk slice is the
-        # whole story, and the parameter's vectorized extractor is
-        # already bit-identical to the scalar value function.
-        observed = self._parameter.observe_table(table.slice_rows(lo, hi))
-        if observed is None:
-            return None
-        return TableObservations(
-            sender_idx=observed.sender_idx,
-            ftype_idx=observed.ftype_idx,
-            values=observed.values,
-            positions=observed.positions + lo,
-        )
-
-    def export_state(self) -> dict:
-        return {}  # pure per-frame function: nothing to remember
-
-    def restore_state(self, state: dict) -> None:
-        pass
-
-
-class _ChannelClockStream(ObservationStream):
-    """O(1) stream for the time-derived parameters.
-
-    Tracks the previous end-of-reception ``t_{i-1}`` across *all*
-    frames (unattributable ACK/CTS advance the clock without yielding
-    an observation, as in the batch extractors).
-    """
-
-    __slots__ = ("_value", "_table_value", "_previous_t")
-
-    def __init__(
-        self,
-        parameter: NetworkParameter,
-        value: "Callable[[CapturedFrame, float], float]",
-        table_value: "Callable[[FrameTable, int, float], float]",
-    ) -> None:
-        """``table_value(table, row, previous_t)`` is the columnar twin
-        of ``value`` — same float64 arithmetic over the table columns,
-        so frame-less tables (wire-decoded, shard-partitioned) take the
-        fast path too."""
-        super().__init__(parameter)
-        self._value = value
-        self._table_value = table_value
         self._previous_t: float | None = None
 
     def push(self, frame: CapturedFrame) -> tuple[Observation, ...]:
+        """Observations this frame contributes (at most one)."""
         previous_t = self._previous_t
         self._previous_t = frame.timestamp_us
-        if previous_t is None or frame.sender is None:
+        sender = frame.sender
+        if sender is None:
             return ()
-        return (
-            Observation(
-                frame.sender, frame.ftype_key, self._value(frame, previous_t)
-            ),
-        )
+        value = self._parameter.value(frame, previous_t)
+        if value is None:
+            return ()
+        return (Observation(sender, frame.ftype_key, value),)
 
-    def push_table(
-        self, table: FrameTable, lo: int, hi: int
-    ) -> TableObservations | None:
-        observed = self._parameter.observe_table(table.slice_rows(lo, hi))
-        if observed is None:
-            return None
-        previous_t = self._previous_t
-        self._previous_t = float(table.timestamp_us[hi - 1])
-        sender_idx = observed.sender_idx
-        ftype_idx = observed.ftype_idx
-        values = observed.values
-        positions = observed.positions + lo
-        if previous_t is not None and table.sender_idx[lo] >= 0:
-            # The slice's first row observes against the carried
-            # channel clock — the one value slice-local extraction
-            # cannot see.  Computed from the table columns (same
-            # float64 arithmetic as the scalar value function), so
-            # frame-less tables work and the result stays bit-identical
-            # to the per-frame path.
-            value = self._table_value(table, lo, previous_t)
-            sender_idx = np.concatenate(([table.sender_idx[lo]], sender_idx))
-            ftype_idx = np.concatenate(([table.ftype_idx[lo]], ftype_idx))
-            values = np.concatenate(([value], values))
-            positions = np.concatenate(([lo], positions))
-        return TableObservations(sender_idx, ftype_idx, values, positions)
+    def push_table(self, table: FrameTable, lo: int, hi: int) -> TableObservations:
+        """Vectorized push of chunk rows ``[lo, hi)`` (chunked streaming).
+
+        Returns the observation batch those rows contribute — exactly
+        what feeding each row's frame through :meth:`push` would yield,
+        with ``positions`` in the chunk's row coordinates — and
+        advances the clock past row ``hi - 1``.
+        """
+        observed = self._parameter.observe_table(
+            table.slice_rows(lo, hi), self._previous_t
+        )
+        if hi > lo:
+            self._previous_t = float(table.timestamp_us[hi - 1])
+        return observed._replace(positions=observed.positions + lo)
 
     def export_state(self) -> dict:
-        return {"previous_t": self._previous_t}  # the channel clock
+        """Checkpointable state (see :mod:`repro.persistence.checkpoint`)."""
+        return {"previous_t": self._previous_t}
 
     def restore_state(self, state: dict) -> None:
+        """Re-arm the stream from :meth:`export_state` output."""
         self._previous_t = state.get("previous_t")
 
 
-def _attributable_positions(table: FrameTable) -> np.ndarray:
+def _attributable(table: FrameTable) -> np.ndarray:
     """Rows that can yield an observation (sender known)."""
     return np.flatnonzero(table.sender_idx >= 0)
 
 
-def _clocked_positions(table: FrameTable) -> np.ndarray:
-    """Rows yielding a time-derived observation: attributable rows
-    with a predecessor on the channel (the first row has no
-    ``t_{i-1}``; ACK/CTS rows advance the clock but are masked out)."""
-    positions = np.flatnonzero(table.sender_idx[1:] >= 0)
-    return positions + 1
+def _clocked(
+    table: FrameTable, previous_t: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows yielding a time-derived observation, and their ``t_{i-1}``.
+
+    Those are the attributable rows with a predecessor on the channel:
+    ``t_{i-1}`` is the timestamp column shifted by one row, because
+    *every* frame (ACK/CTS included) advances the clock.  Row 0 has a
+    predecessor only when the clock ``previous_t`` is carried in.
+    Only the observed rows are gathered.
+    """
+    attributable = table.sender_idx >= 0
+    if previous_t is None:
+        positions = np.flatnonzero(attributable[1:]) + 1
+        return positions, table.timestamp_us[positions - 1]
+    positions = np.flatnonzero(attributable)
+    previous = table.timestamp_us[positions - 1]
+    if positions.size and positions[0] == 0:
+        previous[0] = previous_t  # row 0's predecessor is the carried clock
+    return positions, previous
 
 
 def _gathered(
@@ -305,19 +217,14 @@ class TransmissionRate(NetworkParameter):
     def default_bins(self) -> BinSpec:
         return CategoricalBins(categories=tuple(float(r) for r in PAPER_RATE_AXIS))
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        for captured in frames:
-            sender = captured.sender
-            if sender is None:
-                continue
-            yield Observation(sender, captured.ftype_key, captured.rate_mbps)
+    def value(self, frame: CapturedFrame, previous_t: float | None) -> float:
+        return frame.rate_mbps
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
-        positions = _attributable_positions(table)
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
+        positions = _attributable(table)
         return _gathered(table, positions, table.rate_mbps[positions])
-
-    def online(self) -> ObservationStream:
-        return _PerFrameStream(self, lambda captured: captured.rate_mbps)
 
 
 class FrameSize(NetworkParameter):
@@ -329,19 +236,14 @@ class FrameSize(NetworkParameter):
     def default_bins(self) -> BinSpec:
         return UniformBins(lo=0.0, hi=2400.0, width=32.0)
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        for captured in frames:
-            sender = captured.sender
-            if sender is None:
-                continue
-            yield Observation(sender, captured.ftype_key, float(captured.size))
+    def value(self, frame: CapturedFrame, previous_t: float | None) -> float:
+        return float(frame.size)
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
-        positions = _attributable_positions(table)
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
+        positions = _attributable(table)
         return _gathered(table, positions, table.size[positions])
-
-    def online(self) -> ObservationStream:
-        return _PerFrameStream(self, lambda captured: float(captured.size))
 
 
 class TransmissionTime(NetworkParameter):
@@ -356,28 +258,17 @@ class TransmissionTime(NetworkParameter):
         # clip bin and washes out device differences.
         return UniformBins(lo=0.0, hi=20000.0, width=20.0)
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        for captured in frames:
-            sender = captured.sender
-            if sender is None:
-                continue
-            value = paper_transmission_time_us(captured.size, captured.rate_mbps)
-            yield Observation(sender, captured.ftype_key, value)
+    def value(self, frame: CapturedFrame, previous_t: float | None) -> float:
+        return paper_transmission_time_us(frame.size, frame.rate_mbps)
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
         # size * 8 / rate over float64 columns is bit-identical to the
         # scalar paper_transmission_time_us (sizes are exact in float64).
-        positions = _attributable_positions(table)
+        positions = _attributable(table)
         values = table.size[positions] * 8.0 / table.rate_mbps[positions]
         return _gathered(table, positions, values)
-
-    def online(self) -> ObservationStream:
-        return _PerFrameStream(
-            self,
-            lambda captured: paper_transmission_time_us(
-                captured.size, captured.rate_mbps
-            ),
-        )
 
 
 class InterArrivalTime(NetworkParameter):
@@ -400,32 +291,18 @@ class InterArrivalTime(NetworkParameter):
         # make them mutually indistinguishable.
         return UniformBins(lo=0.0, hi=2500.0, width=50.0, drop_outside=True)
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        previous_t: float | None = None
-        for captured in frames:
-            t_i = captured.timestamp_us
-            if previous_t is not None and captured.sender is not None:
-                yield Observation(
-                    captured.sender, captured.ftype_key, t_i - previous_t
-                )
-            previous_t = t_i
+    def value(
+        self, frame: CapturedFrame, previous_t: float | None
+    ) -> float | None:
+        if previous_t is None:
+            return None
+        return frame.timestamp_us - previous_t
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
-        # The channel clock vectorizes as a shifted-array subtraction:
-        # t_{i-1} is simply the timestamp column shifted by one row,
-        # because *every* frame (attributable or not) advances it.
-        positions = _clocked_positions(table)
-        t = table.timestamp_us
-        return _gathered(table, positions, t[positions] - t[positions - 1])
-
-    def online(self) -> ObservationStream:
-        return _ChannelClockStream(
-            self,
-            lambda captured, previous_t: captured.timestamp_us - previous_t,
-            lambda table, row, previous_t: (
-                float(table.timestamp_us[row]) - previous_t
-            ),
-        )
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
+        positions, previous = _clocked(table, previous_t)
+        return _gathered(table, positions, table.timestamp_us[positions] - previous)
 
 
 class MediumAccessTime(NetworkParameter):
@@ -446,37 +323,24 @@ class MediumAccessTime(NetworkParameter):
         # the contention range carry device information.
         return UniformBins(lo=0.0, hi=1000.0, width=20.0, drop_outside=True)
 
-    def observations(self, frames: Iterable[CapturedFrame]) -> Iterator[Observation]:
-        previous_t: float | None = None
-        for captured in frames:
-            t_i = captured.timestamp_us
-            if previous_t is not None and captured.sender is not None:
-                tt_i = paper_transmission_time_us(captured.size, captured.rate_mbps)
-                yield Observation(
-                    captured.sender, captured.ftype_key, (t_i - tt_i) - previous_t
-                )
-            previous_t = t_i
+    def value(
+        self, frame: CapturedFrame, previous_t: float | None
+    ) -> float | None:
+        if previous_t is None:
+            return None
+        tt_i = paper_transmission_time_us(frame.size, frame.rate_mbps)
+        return (frame.timestamp_us - tt_i) - previous_t
 
-    def observe_table(self, table: FrameTable) -> TableObservations:
-        # Same shift-and-mask as the inter-arrival time, with the
-        # start-of-reception estimate t_i − tt_i in place of t_i; the
-        # operation order matches the scalar path bit for bit.
-        positions = _clocked_positions(table)
-        t = table.timestamp_us
+    def observe_table(
+        self, table: FrameTable, previous_t: float | None = None
+    ) -> TableObservations:
+        # The start-of-reception estimate t_i − tt_i in place of the
+        # inter-arrival's t_i; the operation order matches the scalar
+        # path bit for bit.
+        positions, previous = _clocked(table, previous_t)
         tt = table.size[positions] * 8.0 / table.rate_mbps[positions]
-        values = (t[positions] - tt) - t[positions - 1]
+        values = (table.timestamp_us[positions] - tt) - previous
         return _gathered(table, positions, values)
-
-    def online(self) -> ObservationStream:
-        def value(captured: CapturedFrame, previous_t: float) -> float:
-            tt_i = paper_transmission_time_us(captured.size, captured.rate_mbps)
-            return (captured.timestamp_us - tt_i) - previous_t
-
-        def table_value(table: FrameTable, row: int, previous_t: float) -> float:
-            tt_i = float(table.size[row]) * 8.0 / float(table.rate_mbps[row])
-            return (float(table.timestamp_us[row]) - tt_i) - previous_t
-
-        return _ChannelClockStream(self, value, table_value)
 
 
 #: The paper's five parameters, in its Section III order.

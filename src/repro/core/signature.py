@@ -142,12 +142,9 @@ class SignatureBuilder:
         ``index_many`` pass and scatters them into the per-(device,
         frame type) count matrix with a single flat ``np.bincount`` —
         bin-for-bin identical to the object path (property-pinned in
-        ``tests/test_table.py``).  Parameters without a columnar
-        extractor fall back to :meth:`build` on the backing frames.
+        ``tests/test_table.py``).
         """
         observed = self.parameter.observe_table(table)
-        if observed is None:
-            return self.build(table.to_frames())
         bin_idx = self.bins.index_many(observed.values)
         return self.build_binned(
             observed.sender_idx,

@@ -42,7 +42,11 @@ of them.
 Corruption never passes silently: a wrong magic, an unsupported
 version, a length/checksum mismatch, or a stream that ends mid-record
 all raise :class:`WireError` with the byte offset where decoding
-stopped.
+stopped.  A well-formed CHUNK must also hold values a capture can
+produce — the :class:`~repro.dot11.capture.CapturedFrame` invariants:
+intern codes in range, finite timestamps, sizes and rates,
+``timestamp_us >= 0``, ``size >= 0`` and ``rate_mbps > 0`` — or it is
+rejected with :class:`WireError` too.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ _COLUMNS = (
 
 
 class WireError(ValueError):
-    """Malformed wire data (bad magic/version/length/checksum)."""
+    """Malformed wire data (bad magic/version/length/checksum/values)."""
 
 
 # -- record framing -----------------------------------------------------
@@ -184,13 +188,28 @@ def encode_chunk(table: FrameTable) -> bytes:
     return encode_record(RECORD_CHUNK, b"".join(parts))
 
 
+def _check_numeric_columns(columns: dict[str, np.ndarray]) -> None:
+    """Apply the :class:`~repro.dot11.capture.CapturedFrame` invariants."""
+    for name in ("timestamp_us", "size", "rate_mbps"):
+        if not np.isfinite(columns[name]).all():
+            raise WireError(f"chunk {name} holds a non-finite value")
+    if columns["timestamp_us"].min() < 0:
+        raise WireError("chunk timestamp_us holds a negative value")
+    if columns["size"].min() < 0:
+        raise WireError("chunk size holds a negative value")
+    if columns["rate_mbps"].min() <= 0:
+        raise WireError("chunk rate_mbps holds a non-positive value")
+
+
 def decode_chunk(payload: bytes) -> FrameTable:
     """Rebuild the :class:`FrameTable` a CHUNK payload carries.
 
     The returned table has no backing frames (``to_frames`` raises);
     its five columns and two intern tuples are bit-identical to the
     encoder's input.  Columns are read-only zero-copy views onto the
-    payload bytes — every downstream consumer only reads them.
+    payload bytes — every downstream consumer only reads them.  Values
+    no capture can produce (see the module docstring) raise
+    :class:`WireError`.
     """
     if len(payload) < _U32.size:
         raise WireError("chunk payload shorter than its header length field")
@@ -228,6 +247,7 @@ def decode_chunk(payload: bytes) -> FrameTable:
         ftype_idx = columns["ftype_idx"]
         if int(ftype_idx.min()) < 0 or int(ftype_idx.max()) >= len(ftype_keys):
             raise WireError("chunk ftype_idx out of intern range")
+        _check_numeric_columns(columns)
     return FrameTable(
         timestamp_us=columns["timestamp_us"],
         size=columns["size"],

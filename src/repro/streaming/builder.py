@@ -158,9 +158,7 @@ class StreamingSignatureBuilder:
         across calls, so a window spanning many chunks can be fed chunk
         by chunk.  With decay on, the extraction is still vectorized
         but observations are folded in one at a time so the exp/rebase
-        arithmetic matches the per-frame path exactly.  Parameters
-        without a columnar extractor fall back to per-frame updates
-        over the chunk's backing frames.
+        arithmetic matches the per-frame path exactly.
         """
         if hi is None:
             hi = len(table)
@@ -168,11 +166,6 @@ class StreamingSignatureBuilder:
         if count <= 0:
             return 0
         pushed = self._stream.push_table(table, lo, hi)
-        if pushed is None:  # no columnar fast path: reference loop
-            kept = 0
-            for row in range(lo, hi):
-                kept += self.update(table.frame_at(row))
-            return kept
         self.frames_seen += count
         bin_idx = self.bins.index_many(pushed.values)
         keep = bin_idx >= 0
@@ -333,10 +326,9 @@ class StreamingSignatureBuilder:
     def export_state(self) -> dict:
         """Everything needed to resume this builder mid-capture.
 
-        The returned structure is JSON-shaped except for the extractor
-        state, which may embed a
-        :class:`~repro.dot11.capture.CapturedFrame`; the checkpoint
-        layer (:mod:`repro.persistence.checkpoint`) serialises that.
+        The returned structure is JSON-shaped; the extractor state is
+        its channel clock, one float (or ``None`` before the first
+        frame).
         """
         return {
             "parameter": self.parameter.name,

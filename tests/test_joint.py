@@ -33,6 +33,20 @@ class TestJointBins:
         assert index == 5 * 3 + 2
         assert "×" in joint.bin_label(index)
 
+    def test_y_bin_count_beyond_encoding_base_rejected(self):
+        """Past 2^20 y bins, (x=0, y=2^20+1) and (x=1, y=1) would share
+        one encoded joint value."""
+        with pytest.raises(ValueError, match="encoding base"):
+            JointBins(
+                x_bins=UniformBins(lo=0, hi=100, width=10),
+                y_bins=UniformBins(lo=0, hi=2e6, width=1.0),
+            )
+        # Exactly 2^20 y bins still encode every pair uniquely.
+        JointBins(
+            x_bins=UniformBins(lo=0, hi=100, width=10),
+            y_bins=UniformBins(lo=0, hi=float(1 << 20), width=1.0),
+        )
+
     def test_dropped_component_drops_pair(self):
         joint = JointBins(
             x_bins=UniformBins(lo=0, hi=100, width=10, drop_outside=True),

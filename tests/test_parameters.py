@@ -166,16 +166,6 @@ class TestOnlineStreams:
             streamed = [obs for frame in frames for obs in stream.push(frame)]
             assert streamed == list(parameter.observations(frames)), parameter.name
 
-    def test_generic_base_stream_matches_batch(self, small_office_trace):
-        """The Markov-1 pair trick must also reproduce the batch sequence."""
-        from repro.core.parameters import ObservationStream
-
-        frames = small_office_trace.frames[:500]
-        for parameter in ALL_PARAMETERS:
-            stream = ObservationStream(parameter)  # bypass the fast overrides
-            streamed = [obs for frame in frames for obs in stream.push(frame)]
-            assert streamed == list(parameter.observations(frames)), parameter.name
-
     def test_unattributable_frames_advance_the_clock(self):
         from repro.dot11.frames import ack_frame
 

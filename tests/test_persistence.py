@@ -22,7 +22,7 @@ from repro.dot11.mac import vendor_mac
 from repro.core.database import PackedDatabase, ReferenceDatabase
 from repro.core.matcher import batch_match_signatures
 from repro.core.sharding import ShardedReferenceDatabase
-from repro.core.parameters import InterArrivalTime, MediumAccessTime, ObservationStream
+from repro.core.parameters import InterArrivalTime
 from repro.core.signature import Signature, SignatureBuilder
 from repro.persistence import (
     database_info,
@@ -240,35 +240,6 @@ class TestStreamCheckpoint:
             second.process_frame(frame)
         second.flush()
 
-        assert first_sink.events + second_sink.events == whole_sink.events
-        assert second.stats == whole.stats
-
-    def test_generic_extractor_state_round_trips(self, tmp_path, setting):
-        """The base ObservationStream remembers its predecessor frame;
-        the checkpoint embeds that frame and restores it exactly."""
-        frames, _, _ = setting
-
-        class GenericAccess(MediumAccessTime):
-            def online(self):
-                return ObservationStream(self)
-
-        parameter = GenericAccess()
-        whole_sink = CollectingSink()
-        whole = make_engine(parameter, None, whole_sink)
-        whole.run(frames)
-
-        cut = len(frames) // 3
-        first_sink = CollectingSink()
-        first = make_engine(parameter, None, first_sink)
-        for frame in frames[:cut]:
-            first.process_frame(frame)
-        checkpoint = first.checkpoint(tmp_path / "ck.json")
-        second_sink = CollectingSink()
-        second = make_engine(parameter, None, second_sink)
-        second.restore(checkpoint)
-        for frame in frames[cut:]:
-            second.process_frame(frame)
-        second.flush()
         assert first_sink.events + second_sink.events == whole_sink.events
         assert second.stats == whole.stats
 

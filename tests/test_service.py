@@ -391,6 +391,52 @@ class TestServerBehaviour:
         assert stats.sensors[0].frames == 0
         assert not stats.sensors[0].completed
 
+    def test_nan_timestamp_chunk_pauses_and_sensor_reconnects(self):
+        """A chunk no capture can produce is a wire error: the session
+        pauses (instead of killing the sensor's worker thread) and the
+        sensor can reconnect and finish its capture."""
+        import socket as socket_module
+
+        import numpy as np
+
+        from repro.service.wire import RECORD_HELLO, encode_chunk, encode_json
+
+        (sensor, chunks), = sensor_captures(1, frames=600).items()
+        good = chunks[2]
+        stamps = np.array(good.timestamp_us)
+        stamps[5] = np.nan
+        bad = FrameTable(
+            timestamp_us=stamps,
+            size=good.size,
+            rate_mbps=good.rate_mbps,
+            sender_idx=good.sender_idx,
+            ftype_idx=good.ftype_idx,
+            senders=good.senders,
+            ftype_keys=good.ftype_keys,
+        )
+        config = make_config()
+        with IngestServer(config) as server:
+            port = server.listen()
+            with socket_module.create_connection(("127.0.0.1", port)) as conn:
+                conn.sendall(encode_json(RECORD_HELLO, {"sensor": sensor}))
+                for table in (chunks[0], chunks[1], bad):
+                    conn.sendall(encode_chunk(table))
+            assert server.wait_for_detach(sensor, timeout=10.0)
+            paused = server.stats().sensors[0]
+            assert paused.frames == len(chunks[0]) + len(chunks[1])
+            assert not paused.completed
+
+            report = SensorSession(sensor, chunks).connect("127.0.0.1", port)
+            assert report.ended
+            assert server.wait_for_sessions(1, timeout=60.0)
+            merged = server.merged_database()
+            stats = server.stats().sensors[0]
+        assert stats.frames == sum(len(c) for c in chunks)
+        assert stats.completed
+        assert_databases_equal(
+            merged, run_inline({sensor: chunks}, config).database
+        )
+
     def test_bad_sensor_ids_rejected(self):
         with pytest.raises(ValueError):
             SensorPipeline("", make_config())

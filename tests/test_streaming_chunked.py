@@ -18,13 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.histogram import BinSpec, UniformBins
-from repro.core.parameters import (
-    ALL_PARAMETERS,
-    InterArrivalTime,
-    NetworkParameter,
-    Observation,
-)
+from repro.core.parameters import ALL_PARAMETERS, InterArrivalTime
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame, FrameSubtype
 from repro.dot11.mac import MacAddress, vendor_mac
@@ -40,6 +34,7 @@ from repro.streaming import (
 )
 from repro.traces.table import FrameTable
 from tests.conftest import make_data_capture
+from tests.test_table import JOINT_PARAMETERS
 
 AP = vendor_mac("00:0f:66", 99)
 
@@ -92,25 +87,10 @@ def chunk_spans(total: int, sizes: list[int]):
     return spans
 
 
-class SignedSize(NetworkParameter):
-    """A custom parameter with no columnar path (fallback coverage)."""
-
-    name = "signedsize"
-    label = "negated frame size"
-
-    def default_bins(self) -> BinSpec:
-        return UniformBins(lo=-2400.0, hi=0.0, width=100.0)
-
-    def observations(self, frames):
-        for frame in frames:
-            if frame.sender is not None:
-                yield Observation(
-                    frame.sender, frame.ftype_key, -float(frame.frame.size)
-                )
-
-
 class TestBuilderEquivalence:
-    @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "parameter", ALL_PARAMETERS + JOINT_PARAMETERS, ids=lambda p: p.name
+    )
     @pytest.mark.parametrize("half_life", [None, 3.0], ids=["nodecay", "decay"])
     @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=15)
@@ -127,18 +107,6 @@ class TestBuilderEquivalence:
         for lo, hi in chunk_spans(len(TABLE), sizes):
             chunked.update_table(TABLE, lo, hi)
 
-        assert chunked.export_state() == reference.export_state()
-
-    @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=6))
-    @settings(deadline=None, max_examples=10)
-    def test_fallback_for_parameter_without_columnar_path(self, sizes):
-        parameter = SignedSize()
-        reference = StreamingSignatureBuilder(parameter, min_observations=10)
-        for frame in FRAMES:
-            reference.update(frame)
-        chunked = StreamingSignatureBuilder(parameter, min_observations=10)
-        for lo, hi in chunk_spans(len(TABLE), sizes):
-            chunked.update_table(TABLE, lo, hi)
         assert chunked.export_state() == reference.export_state()
 
     def test_mid_burst_chunk_boundary_carries_channel_clock(self):

@@ -3,9 +3,9 @@
 Property-pins the tentpole equivalences of DESIGN.md §6:
 
 * ``observe_table`` reproduces ``observations()`` **bit for bit** for
-  all five parameters on arbitrary frame sequences — including
-  sender-less ACK/CTS frames that advance the channel clock without
-  ever yielding an observation;
+  all five parameters and two joint pairs on arbitrary frame
+  sequences — including sender-less ACK/CTS frames that advance the
+  channel clock without ever yielding an observation;
 * ``FrameTable.from_frames`` / ``to_frames`` round-trip losslessly;
 * ``SignatureBuilder.build_table`` matches ``build`` bin for bin,
   weight for weight, in the same dict order;
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import DetectionConfig, extract_window_candidates
+from repro.core.joint import JointParameter
 from repro.core.parameters import ALL_PARAMETERS
 from repro.core.signature import SignatureBuilder
 from repro.dot11.capture import CapturedFrame
@@ -30,6 +31,12 @@ from repro.dot11.mac import vendor_mac
 from repro.dot11.phy import ALL_RATES
 from repro.traces.table import FrameTable, window_bounds
 from repro.traces.trace import Trace
+
+#: Joint parameters must vectorize like the five base ones.
+JOINT_PARAMETERS = (
+    JointParameter("interarrival", "size"),
+    JointParameter("access", "rate"),
+)
 
 SENDERS = [vendor_mac("00:13:e8", i) for i in range(1, 5)]
 AP = vendor_mac("00:0f:b5", 1)
@@ -80,7 +87,7 @@ class TestObserveTableEquivalence:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     def test_observe_table_matches_observations_bitwise(self, frames):
         table = FrameTable.from_frames(frames)
-        for parameter in ALL_PARAMETERS:
+        for parameter in ALL_PARAMETERS + JOINT_PARAMETERS:
             scalar = list(parameter.observations(frames))
             batch = parameter.observe_table(table)
             assert batch is not None
@@ -201,7 +208,9 @@ class TestTableSlicing:
 
 
 class TestColumnarDetectionEquivalence:
-    @pytest.mark.parametrize("parameter", ALL_PARAMETERS, ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "parameter", ALL_PARAMETERS + JOINT_PARAMETERS, ids=lambda p: p.name
+    )
     def test_window_candidates_match_object_path(
         self, small_office_trace, parameter
     ):

@@ -37,10 +37,13 @@ from repro.traces.table import FrameTable
 from tests.test_streaming_chunked import synth_frames
 
 
+_COLUMN_NAMES = ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx")
+
+
 def assert_tables_bit_identical(left: FrameTable, right: FrameTable) -> None:
     """Columns byte-for-byte equal, intern tuples equal."""
     assert len(left) == len(right)
-    for name in ("timestamp_us", "size", "rate_mbps", "sender_idx", "ftype_idx"):
+    for name in _COLUMN_NAMES:
         mine = np.ascontiguousarray(getattr(left, name))
         theirs = np.ascontiguousarray(getattr(right, name))
         assert mine.tobytes() == theirs.tobytes(), f"column {name} differs"
@@ -48,9 +51,25 @@ def assert_tables_bit_identical(left: FrameTable, right: FrameTable) -> None:
     assert left.ftype_keys == right.ftype_keys
 
 
+def with_values(table: FrameTable, values: dict[str, float]) -> FrameTable:
+    """A copy of ``table`` with one column value replaced per entry (row 17)."""
+    columns = {name: np.array(getattr(table, name)) for name in _COLUMN_NAMES}
+    for name, value in values.items():
+        columns[name][17] = value
+    return FrameTable(**columns, senders=table.senders, ftype_keys=table.ftype_keys)
+
+
 # -- arbitrary-table strategy -------------------------------------------
 _finite = st.floats(
     min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False
+)
+#: Rates must be positive, like ``CapturedFrame.rate_mbps``.
+_positive = st.floats(
+    min_value=0.0,
+    max_value=1e12,
+    exclude_min=True,
+    allow_nan=False,
+    allow_infinity=False,
 )
 
 
@@ -72,7 +91,7 @@ def frame_tables(draw) -> FrameTable:
         draw(st.lists(_finite, min_size=rows, max_size=rows)), dtype=np.float64
     )
     rates = np.asarray(
-        draw(st.lists(_finite, min_size=rows, max_size=rows)), dtype=np.float64
+        draw(st.lists(_positive, min_size=rows, max_size=rows)), dtype=np.float64
     )
     sender_idx = np.asarray(
         draw(
@@ -206,6 +225,35 @@ class TestRejection:
         payload[offset : offset + 8] = (10**6).to_bytes(8, "little")
         with pytest.raises(WireError, match="intern range"):
             decode_chunk(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("timestamp_us", float("nan"), "non-finite"),
+            ("timestamp_us", float("inf"), "non-finite"),
+            ("timestamp_us", -1.0, "timestamp_us holds a negative"),
+            ("size", float("nan"), "non-finite"),
+            ("size", float("-inf"), "non-finite"),
+            ("size", -1.0, "size holds a negative"),
+            ("rate_mbps", float("nan"), "non-finite"),
+            ("rate_mbps", float("inf"), "non-finite"),
+            ("rate_mbps", 0.0, "non-positive"),
+            ("rate_mbps", -6.0, "non-positive"),
+        ],
+    )
+    def test_chunk_values_obey_capture_invariants(self, column, value, message):
+        """The rules ``CapturedFrame`` applies, checked per column."""
+        table = FrameTable.from_frames(synth_frames(count=30))
+        bad = with_values(table, {column: value})
+        payload = read_record(io.BytesIO(encode_chunk(bad)))[1]
+        with pytest.raises(WireError, match=message):
+            decode_chunk(payload)
+
+    def test_zero_timestamp_and_size_accepted(self):
+        table = FrameTable.from_frames(synth_frames(count=30))
+        edge = with_values(table, {"timestamp_us": 0.0, "size": 0.0})
+        decoded = decode_chunk(read_record(io.BytesIO(encode_chunk(edge)))[1])
+        assert_tables_bit_identical(decoded, edge)
 
     def test_encode_record_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="unknown record type"):
