@@ -58,7 +58,7 @@ import numpy as np
 from repro.analysis.plots import render_histogram, render_table
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import DetectionConfig
-from repro.core.matcher import match_signature
+from repro.core.matcher import best_match
 from repro.core.parameters import ALL_PARAMETERS, parameter_by_name
 from repro.core.pipeline import evaluate_trace
 from repro.core.signature import Signature, SignatureBuilder
@@ -147,17 +147,16 @@ def _cmd_match(args: argparse.Namespace) -> int:
     rows = []
     for window_index, window in enumerate(trace.windows(args.window_s)):
         for device, signature in builder.build_table(window.table()).items():
-            similarities = match_signature(signature, database)
-            if not similarities:
+            best, score = best_match(signature, database)
+            if best is None:
                 continue
-            best = max(similarities, key=lambda d: similarities[d])
             verdict = "MATCH" if best == device else "MISMATCH"
             rows.append(
                 (
                     window_index,
                     str(device),
                     str(best),
-                    f"{similarities[best]:.3f}",
+                    f"{score:.3f}",
                     verdict,
                 )
             )

@@ -10,13 +10,14 @@ sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
-from repro.core.matcher import batch_match_signatures
+from repro.core.matcher import argmax_scores, batch_match_signatures, best_index
 from repro.core.metrics import (
     CurvePoint,
     IdentificationCurve,
@@ -47,18 +48,43 @@ class DetectionConfig:
 
 @dataclass(slots=True)
 class WindowCandidate:
-    """One candidate: a device's signature in one detection window."""
+    """One candidate: a device's signature in one detection window.
+
+    ``scores[i]`` is the candidate's Algorithm 1 similarity to
+    ``references[i]``.  Every candidate matched in one batch shares the
+    same ``references`` tuple (database order) and holds its row of the
+    batch's score matrix as a view, so no per-candidate copy or dict is
+    made.  The streaming matcher produces the same type.
+    """
 
     device: MacAddress
     window_index: int
     signature: Signature
-    similarities: dict[MacAddress, float] = field(default_factory=dict)
+    references: tuple[MacAddress, ...]
+    scores: np.ndarray
+
+    @property
+    def similarities(self) -> dict[MacAddress, float]:
+        """Reference -> similarity, built on demand."""
+        return dict(zip(self.references, self.scores.tolist()))
+
+    @property
+    def best(self) -> tuple[MacAddress | None, float]:
+        """Argmax reference and its similarity ((None, 0.0) if none).
+
+        Ties go to the first reference in database order and a NaN
+        score never wins (:func:`~repro.core.matcher.best_index`).
+        """
+        winner = best_index(self.scores)
+        if winner < 0:
+            return None, 0.0
+        return self.references[winner], float(self.scores[winner])
 
 
-def _columnar_window_candidates(
+def _columnar_window_signatures(
     validation: Trace, builder: SignatureBuilder, config: DetectionConfig
-) -> list[WindowCandidate]:
-    """All window candidates via the columnar fast path (DESIGN.md §6).
+) -> list[tuple[int, MacAddress, Signature]]:
+    """Every ``(window, device, signature)``, columnar path (DESIGN.md §6).
 
     Observations for the *whole* validation trace are extracted and
     binned once; each detection window is then an ``np.searchsorted``
@@ -70,7 +96,7 @@ def _columnar_window_candidates(
     observed = builder.parameter.observe_table(table)
     bin_idx = builder.bins.index_many(observed.values)
     memory = builder.parameter.table_memory
-    candidates: list[WindowCandidate] = []
+    found: list[tuple[int, MacAddress, Signature]] = []
     for window_index, (lo, hi) in enumerate(
         window_bounds(table.timestamp_us, config.window_s)
     ):
@@ -85,12 +111,8 @@ def _columnar_window_candidates(
             table.ftype_keys,
         )
         for device, signature in signatures.items():
-            candidates.append(
-                WindowCandidate(
-                    device=device, window_index=window_index, signature=signature
-                )
-            )
-    return candidates
+            found.append((window_index, device, signature))
+    return found
 
 
 def extract_window_candidates(
@@ -114,27 +136,65 @@ def extract_window_candidates(
     Candidate signatures are collected first, then matched in a single
     :func:`~repro.core.matcher.batch_match_signatures` call — for the
     cosine measure that is one matrix–matrix product per frame type
-    over every (window, device) candidate at once.
+    over every (window, device) candidate at once.  Each candidate
+    keeps its row of the resulting ``(K, N)`` score matrix as a view,
+    with one ``tuple(database.devices)`` shared as ``references``.
     """
     chosen = measure if measure is not None else config.measure
     if columnar:
-        candidates = _columnar_window_candidates(validation, builder, config)
+        found = _columnar_window_signatures(validation, builder, config)
     else:
-        candidates = []
-        for window_index, window in enumerate(validation.windows(config.window_s)):
-            for device, signature in builder.build(window.frames).items():
-                candidates.append(
-                    WindowCandidate(
-                        device=device, window_index=window_index, signature=signature
-                    )
-                )
+        found = [
+            (window_index, device, signature)
+            for window_index, window in enumerate(validation.windows(config.window_s))
+            for device, signature in builder.build(window.frames).items()
+        ]
     scores = batch_match_signatures(
-        [candidate.signature for candidate in candidates], database, chosen
+        [signature for _, _, signature in found], database, chosen
     )
-    devices = database.devices
-    for candidate, row in zip(candidates, scores):
-        candidate.similarities = dict(zip(devices, row.tolist()))
-    return candidates
+    references = tuple(database.devices)
+    return [
+        WindowCandidate(
+            device=device,
+            window_index=window_index,
+            signature=signature,
+            references=references,
+            scores=row,
+        )
+        for (window_index, device, signature), row in zip(found, scores)
+    ]
+
+
+def _score_matrix(
+    candidates: list[WindowCandidate],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack non-empty ``candidates``' score rows into one ``(K, N)`` matrix.
+
+    Also returns each candidate's own column (−1 when its device is
+    not among the references).  All candidates must share one
+    reference order, as every candidate of one matching batch does.
+    """
+    references = candidates[0].references
+    if any(
+        c.references is not references and c.references != references
+        for c in candidates
+    ):
+        raise ValueError("candidates were scored against different references")
+    scores = np.array([c.scores for c in candidates], dtype=np.float64)
+    column = {device: i for i, device in enumerate(references)}
+    truth = np.array([column.get(c.device, -1) for c in candidates], dtype=np.intp)
+    return scores, truth
+
+
+def _count_at_least(values: np.ndarray, thresholds: Sequence[float]) -> list[int]:
+    """For each threshold ``T``, how many ``values`` are ``>= T``.
+
+    NaN never counts (``NaN >= T`` is False), so it is dropped before
+    sorting; ``np.sort`` would otherwise place it last and it would be
+    counted above every threshold.
+    """
+    ordered = np.sort(values[~np.isnan(values)])
+    return (len(ordered) - np.searchsorted(ordered, thresholds, side="left")).tolist()
 
 
 @dataclass
@@ -161,33 +221,34 @@ def evaluate_similarity(
     TPR: fraction of known candidates whose returned set (similarity ≥
     T) contains the true device.  FPR: wrong references returned,
     normalised by the N−1 wrong references available per candidate.
+
+    The sweep is counted, not walked: with the known candidates' rows
+    stacked into one ``(K, N)`` matrix, ``returned(T)`` is the number of
+    scores ≥ T and ``tp(T)`` the number of true-device scores ≥ T, both
+    read off sorted arrays with ``np.searchsorted`` for every threshold
+    at once, and ``fp(T) = returned(T) − tp(T)``.  NaN scores are never
+    returned.  No points are produced without known candidates.
     """
-    reference_count = len(database)
     known = [c for c in candidates if c.device in database]
     points: list[CurvePoint] = []
-    for threshold in config.thresholds:
-        true_positives = 0
-        false_positives = 0
-        false_capacity = 0
-        for candidate in known:
-            returned = {
-                device
-                for device, sim in candidate.similarities.items()
-                if sim >= threshold
-            }
-            if candidate.device in returned:
-                true_positives += 1
-            false_positives += len(returned - {candidate.device})
-            false_capacity += max(reference_count - 1, 1)
-        if not known:
-            continue
-        points.append(
+    if known:
+        scores, truth = _score_matrix(known)
+        matched = np.flatnonzero(truth >= 0)
+        returned = _count_at_least(scores, config.thresholds)
+        true_positives = _count_at_least(
+            scores[matched, truth[matched]], config.thresholds
+        )
+        false_capacity = len(known) * max(len(database) - 1, 1)
+        points = [
             CurvePoint(
                 threshold=threshold,
-                tpr=true_positives / len(known),
-                fpr=false_positives / false_capacity,
+                tpr=tp / len(known),
+                fpr=(total - tp) / false_capacity,
             )
-        )
+            for threshold, total, tp in zip(
+                config.thresholds, returned, true_positives
+            )
+        ]
     return SimilarityOutcome(
         curve=SimilarityCurve(points=points),
         known_candidates=len(known),
@@ -219,37 +280,30 @@ def evaluate_identification(
     similarity clears the acceptance threshold.  The identification
     ratio counts known candidates identified correctly; the FPR counts
     candidates (known or not) identified as a wrong device.
+
+    One row-wise :func:`~repro.core.matcher.argmax_scores` over the
+    stacked ``(K, N)`` matrix gives every candidate's winner and best
+    score (NaN never wins, ties go to the first reference, an empty
+    database identifies nothing); ``correct(T)`` and ``wrong(T)`` are
+    then sorted counts of the best scores ≥ T on each side.
     """
     known_total = sum(1 for c in candidates if c.device in database)
     points: list[IdentificationPoint] = []
-    prepared: list[tuple[WindowCandidate, MacAddress | None, float]] = []
-    for candidate in candidates:
-        best_device: MacAddress | None = None
-        best_sim = float("-inf")
-        for device, sim in candidate.similarities.items():
-            if sim > best_sim:
-                best_device, best_sim = device, sim
-        prepared.append((candidate, best_device, best_sim))
-
-    for threshold in config.thresholds:
-        correct = 0
-        wrong = 0
-        for candidate, best_device, best_sim in prepared:
-            if best_device is None or best_sim < threshold:
-                continue  # rejected: no identification claimed
-            if best_device == candidate.device:
-                correct += 1
-            else:
-                wrong += 1
-        if not candidates:
-            continue
-        points.append(
+    if candidates:
+        scores, truth = _score_matrix(candidates)
+        winner, best = argmax_scores(scores)
+        claimed = winner >= 0
+        hit = claimed & (winner == truth)
+        correct = _count_at_least(best[hit], config.thresholds)
+        wrong = _count_at_least(best[claimed & ~hit], config.thresholds)
+        points = [
             IdentificationPoint(
                 threshold=threshold,
-                identification_ratio=correct / known_total if known_total else 0.0,
-                fpr=wrong / len(candidates),
+                identification_ratio=right / known_total if known_total else 0.0,
+                fpr=miss / len(candidates),
             )
-        )
+            for threshold, right, miss in zip(config.thresholds, correct, wrong)
+        ]
     return IdentificationOutcome(
         curve=IdentificationCurve(points=points),
         known_candidates=known_total,

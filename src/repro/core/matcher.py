@@ -44,6 +44,7 @@ original scalar loop with identical results.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -166,6 +167,36 @@ def batch_match_signatures(
     return totals
 
 
+def best_index(scores: np.ndarray) -> int:
+    """Column of a score row's best score, or −1 if no score is above −inf.
+
+    This is the identification rule of a strict-``>`` walk from −inf
+    over the row: NaN never wins and ties go to the first column
+    (database order).  :func:`best_match`, ``WindowCandidate.best`` and
+    :func:`argmax_scores` all follow it.
+    """
+    if len(scores) == 0:
+        return -1
+    winner = int(scores.argmax())
+    if math.isnan(scores[winner]):  # argmax stops at the first NaN
+        winner = int(np.where(np.isnan(scores), -np.inf, scores).argmax())
+    return winner if scores[winner] > -np.inf else -1
+
+
+def argmax_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`best_index` for every row of a ``(K, N)`` score matrix.
+
+    Returns ``(winner, best)``: each row's best column (−1 where none)
+    and that row's best score (−inf where none).
+    """
+    if scores.shape[1] == 0:
+        return np.full(len(scores), -1, dtype=np.intp), np.full(len(scores), -np.inf)
+    masked = np.where(np.isnan(scores), -np.inf, scores)
+    winner = masked.argmax(axis=1)
+    best = masked[np.arange(len(masked)), winner]
+    return np.where(best > -np.inf, winner, -1), best
+
+
 def best_match(
     candidate: Signature,
     database: ReferenceDatabase,
@@ -173,16 +204,13 @@ def best_match(
 ) -> tuple[MacAddress | None, float]:
     """The identification test's core: the argmax reference device.
 
-    Returns ``(None, 0.0)`` on an empty database.  Ties break towards
-    the earliest-registered reference for determinism.
+    Returns ``(None, 0.0)`` on an empty database or when no score is
+    above −inf.  Ties break towards the earliest-registered reference
+    for determinism and a NaN score never wins (:func:`best_index`).
     """
     similarities = match_signature(candidate, database, measure)
-    winner: MacAddress | None = None
-    best_score = float("-inf")
-    for device, score in similarities.items():
-        if score > best_score:
-            winner = device
-            best_score = score
-    if winner is None:
+    scores = np.fromiter(similarities.values(), np.float64, len(similarities))
+    winner = best_index(scores)
+    if winner < 0:
         return None, 0.0
-    return winner, best_score
+    return list(similarities)[winner], float(scores[winner])

@@ -44,7 +44,8 @@ from repro.streaming.apps import (
     OnlineSpoofGuard,
     WindowAnalyzer,
 )
-from repro.streaming.matcher import OnlineMatcher, StreamCandidate
+from repro.core.detection import WindowCandidate as StreamCandidate
+from repro.streaming.matcher import OnlineMatcher
 from repro.streaming.sources import (
     pcap_chunk_source,
     pcap_source,

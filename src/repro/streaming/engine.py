@@ -44,7 +44,7 @@ from repro.streaming.events import (
     StreamEvent,
     WindowClosed,
 )
-from repro.streaming.matcher import OnlineMatcher, StreamCandidate
+from repro.streaming.matcher import OnlineMatcher
 from repro.streaming.windows import ClosedWindow, WindowConfig, WindowManager
 
 
@@ -213,7 +213,7 @@ class StreamEngine:
     def _handle_closed(self, closed: ClosedWindow) -> None:
         self.stats.windows_closed += 1
         self.stats.candidates += len(closed.signatures)
-        matches: list[StreamCandidate] = (
+        matches = (
             self._matcher.match_window(closed) if self._matcher is not None else []
         )
         self._emit(

@@ -13,49 +13,13 @@ fingerprinting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.dot11.mac import MacAddress
 from repro.core.database import ReferenceDatabase
+from repro.core.detection import WindowCandidate
 from repro.core.matcher import batch_match_signatures
 from repro.core.signature import Signature
 from repro.core.similarity import SimilarityMeasure, cosine_similarity
 from repro.streaming.windows import ClosedWindow
-
-
-@dataclass(slots=True)
-class StreamCandidate:
-    """One matched window candidate (streaming analogue of
-    :class:`~repro.core.detection.WindowCandidate`).
-
-    ``scores[i]`` is the candidate's similarity to ``references[i]``;
-    every candidate of a window shares that window's ``references``
-    tuple (database order) and holds its row of the score matrix.
-    """
-
-    device: MacAddress
-    window_index: int
-    signature: Signature
-    references: tuple[MacAddress, ...]
-    scores: np.ndarray
-
-    @property
-    def similarities(self) -> dict[MacAddress, float]:
-        """Reference -> similarity, built on demand."""
-        return dict(zip(self.references, self.scores.tolist()))
-
-    @property
-    def best(self) -> tuple[MacAddress | None, float]:
-        """Argmax reference and its similarity ((None, 0.0) if empty).
-
-        Ties go to the first reference in database order.
-        """
-        if len(self.scores) == 0:
-            return None, 0.0
-        winner = int(np.argmax(self.scores))
-        return self.references[winner], float(self.scores[winner])
 
 
 class OnlineMatcher:
@@ -77,7 +41,7 @@ class OnlineMatcher:
         """Retire one reference device; no-op ``False`` if unknown."""
         return self.database.remove(device)
 
-    def match_window(self, closed: ClosedWindow) -> list[StreamCandidate]:
+    def match_window(self, closed: ClosedWindow) -> list[WindowCandidate]:
         """Match every candidate of one closed window in a single batch."""
         if not closed.signatures or len(self.database) == 0:
             return []
@@ -89,7 +53,7 @@ class OnlineMatcher:
         )
         references = tuple(self.database.devices)
         return [
-            StreamCandidate(
+            WindowCandidate(
                 device=device,
                 window_index=closed.index,
                 signature=closed.signatures[device],

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import ReferenceDatabase
 from repro.core.detection import (
+    DEFAULT_THRESHOLDS,
     DetectionConfig,
+    WindowCandidate,
     evaluate_identification,
     evaluate_similarity,
     extract_window_candidates,
 )
+from repro.core.matcher import best_match
 from repro.core.parameters import FrameSize
-from repro.core.signature import SignatureBuilder
-from repro.dot11.mac import MacAddress
+from repro.core.signature import Signature, SignatureBuilder
+from repro.dot11.mac import MacAddress, vendor_mac
 from repro.traces.trace import Trace
 from tests.conftest import make_data_capture
+from tests.oracles import detection as oracle
 
 A = MacAddress.parse("00:13:e8:00:00:0a")
 B = MacAddress.parse("00:18:f8:00:00:0b")
@@ -119,3 +128,101 @@ class TestIdentificationTest:
         outcome = evaluate_identification(candidates, database, config)
         fprs = [p.fpr for p in outcome.curve.points]
         assert fprs == sorted(fprs, reverse=True)  # higher T, lower FPR
+
+
+# -- sorted-count sweeps vs the dict-walking oracle ------------------------
+SIGNATURE = Signature(
+    histograms={"Data": np.array([1.0, 0.0])}, weights={"Data": 1.0}
+)
+REFERENCES = [vendor_mac("00:13:e8", i) for i in range(6)]
+STRANGERS = [vendor_mac("00:18:f8", i) for i in range(3)]
+#: Scores sitting exactly on sweep thresholds, so ties with T occur.
+ON_THRESHOLD = [0.0, 0.5, 0.995, 1.0]
+scores_strategy = st.one_of(
+    st.sampled_from(ON_THRESHOLD + [math.nan, -math.inf, math.inf]),
+    st.floats(min_value=-0.5, max_value=1.5),
+)
+thresholds_strategy = st.lists(
+    st.one_of(
+        st.sampled_from(DEFAULT_THRESHOLDS),
+        st.floats(min_value=-0.5, max_value=1.5, allow_nan=False),
+    ),
+    max_size=12,
+).map(tuple)
+
+
+@st.composite
+def scored_candidates(draw):
+    """A database of N references and K candidates sharing one score matrix."""
+    n = draw(st.integers(min_value=0, max_value=len(REFERENCES)))
+    database = ReferenceDatabase()
+    for device in REFERENCES[:n]:
+        database.add(device, SIGNATURE)
+    references = tuple(database.devices)
+    devices = draw(st.lists(st.sampled_from(REFERENCES + STRANGERS), max_size=8))
+    size = len(devices) * n
+    flat = draw(st.lists(scores_strategy, min_size=size, max_size=size))
+    matrix = np.array(flat, dtype=np.float64).reshape(len(devices), n)
+    candidates = [
+        WindowCandidate(
+            device=device,
+            window_index=index,
+            signature=SIGNATURE,
+            references=references,
+            scores=row,
+        )
+        for index, (device, row) in enumerate(zip(devices, matrix))
+    ]
+    return candidates, database
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored=scored_candidates(), thresholds=thresholds_strategy)
+def test_sweeps_equal_the_dict_walk(scored, thresholds):
+    candidates, database = scored
+    config = DetectionConfig(thresholds=thresholds)
+    expected = oracle.evaluate_similarity(candidates, database, config)
+    assert evaluate_similarity(candidates, database, config) == expected
+    expected = oracle.evaluate_identification(candidates, database, config)
+    assert evaluate_identification(candidates, database, config) == expected
+    for candidate in candidates:
+        assert candidate.best == oracle.best(candidate.similarities)
+
+
+class TestNanAndTieRule:
+    def _candidate(self, scores):
+        return WindowCandidate(
+            device=REFERENCES[0],
+            window_index=0,
+            signature=SIGNATURE,
+            references=tuple(REFERENCES[: len(scores)]),
+            scores=np.array(scores, dtype=np.float64),
+        )
+
+    def test_nan_never_wins_and_ties_go_first(self):
+        candidate = self._candidate([math.nan, 0.7, 0.9, 0.9])
+        assert candidate.best == (REFERENCES[2], 0.9)
+
+    def test_all_nan_row_identifies_nothing(self):
+        candidate = self._candidate([math.nan, math.nan])
+        assert candidate.best == (None, 0.0)
+        database = ReferenceDatabase()
+        for device in REFERENCES[:2]:
+            database.add(device, SIGNATURE)
+        outcome = evaluate_identification([candidate], database, DetectionConfig())
+        assert all(p.identification_ratio == 0.0 for p in outcome.curve.points)
+        assert all(p.fpr == 0.0 for p in outcome.curve.points)
+
+    def test_best_match_skips_nan_scores(self):
+        database = ReferenceDatabase()
+        for device in REFERENCES[:3]:
+            database.add(device, SIGNATURE)
+        assert best_match(SIGNATURE, database, lambda a, b: math.nan) == (None, 0.0)
+
+    def test_candidates_must_share_references(self):
+        first = self._candidate([0.1, 0.2])
+        second = self._candidate([0.1, 0.2, 0.3])
+        database = ReferenceDatabase()
+        database.add(REFERENCES[0], SIGNATURE)
+        with pytest.raises(ValueError):
+            evaluate_identification([first, second], database, DetectionConfig())
