@@ -80,7 +80,7 @@ class FrameSubtype(enum.Enum):
         ACK and CTS frames carry only a receiver address (paper
         Section IV-A, footnote 2): their sender is ``None``.
         """
-        return self not in (FrameSubtype.ACK, FrameSubtype.CTS)
+        return self not in _NO_TRANSMITTER
 
     @classmethod
     def from_codes(cls, ftype: int, subtype: int) -> "FrameSubtype":
@@ -113,6 +113,9 @@ _LABELS: dict[FrameSubtype, str] = {
     FrameSubtype.QOS_DATA: "QoS Data",
     FrameSubtype.QOS_NULL: "QoS Null",
 }
+
+#: Subtypes without a transmitter address (see ``has_transmitter_address``).
+_NO_TRANSMITTER = frozenset({FrameSubtype.ACK, FrameSubtype.CTS})
 
 _BY_CODE: dict[tuple[int, int], FrameSubtype] = {
     (st.ftype.value, st.subtype_code): st for st in FrameSubtype
@@ -159,7 +162,7 @@ class Dot11Frame:
     def __post_init__(self) -> None:
         if self.size < 10:
             raise ValueError(f"frame too small to be valid 802.11: {self.size}")
-        if self.addr2 is not None and not self.subtype.has_transmitter_address:
+        if self.addr2 is not None and self.subtype in _NO_TRANSMITTER:
             raise ValueError(f"{self.subtype.label} frames carry no transmitter address")
 
     @property

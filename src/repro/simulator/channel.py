@@ -39,9 +39,13 @@ RATE_SNR_THRESHOLD_DB: dict[float, float] = {
 }
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Position:
-    """A 2-D position in metres."""
+    """A 2-D position in metres.
+
+    Immutable: a moving station gets a new ``Position`` per step, so a
+    position's identity tells link caches whether it moved.
+    """
 
     x: float
     y: float
@@ -117,13 +121,21 @@ class ChannelModel:
     monitor_capture_bonus_db: float = 3.0
     noiseless: bool = False
 
-    def snr_db(self, distance_m: float, rng: random.Random) -> float:
-        """Instantaneous SNR over a link of ``distance_m`` metres."""
-        path_loss = self.reference_loss_db + 10 * self.path_loss_exponent * math.log10(
+    def path_loss_db(self, distance_m: float) -> float:
+        """Mean (log-distance) path loss over ``distance_m`` metres."""
+        return self.reference_loss_db + 10 * self.path_loss_exponent * math.log10(
             max(distance_m, 0.5)
         )
+
+    def snr_db(self, distance_m: float, rng: random.Random) -> float:
+        """Instantaneous SNR over a link of ``distance_m`` metres."""
+        return self.link_snr_db(self.path_loss_db(distance_m), rng)
+
+    def link_snr_db(self, path_loss_db: float, rng: random.Random) -> float:
+        """Instantaneous SNR over a link with mean loss ``path_loss_db``
+        (one shadowing draw)."""
         shadowing = rng.gauss(0.0, self.shadowing_sigma_db)
-        rx_power = self.tx_power_dbm - path_loss + shadowing
+        rx_power = self.tx_power_dbm - path_loss_db + shadowing
         return rx_power - self.noise_floor_dbm
 
     def success_probability(self, snr_db: float, rate_mbps: float, size: int) -> float:
@@ -138,19 +150,21 @@ class ChannelModel:
         exponent = max(0.25, size / 1500.0)
         return base**exponent
 
-    def frame_succeeds(
-        self, distance_m: float, rate_mbps: float, size: int, rng: random.Random
+    def link_succeeds(
+        self, path_loss_db: float, rate_mbps: float, size: int, rng: random.Random
     ) -> bool:
-        """Draw whether a frame crosses this link intact."""
+        """Draw whether a frame crosses a link with mean loss
+        ``path_loss_db`` intact."""
         if self.noiseless:
             return True
-        snr = self.snr_db(distance_m, rng)
+        snr = self.link_snr_db(path_loss_db, rng)
         return rng.random() < self.success_probability(snr, rate_mbps, size)
 
-    def monitor_captures(
-        self, distance_m: float, rate_mbps: float, size: int, rng: random.Random
+    def monitor_decodes(
+        self, path_loss_db: float, rate_mbps: float, size: int, rng: random.Random
     ) -> bool:
-        """Draw whether the monitor's card decodes a frame.
+        """Draw whether the monitor's card decodes a frame over a link
+        with mean loss ``path_loss_db``.
 
         Monitoring setups favour antenna placement, modelled as an SNR
         bonus — but captures are still lossy, as real monitor traces
@@ -158,7 +172,7 @@ class ChannelModel:
         """
         if self.noiseless:
             return True
-        snr = self.snr_db(distance_m, rng) + self.monitor_capture_bonus_db
+        snr = self.link_snr_db(path_loss_db, rng) + self.monitor_capture_bonus_db
         return rng.random() < self.success_probability(snr, rate_mbps, size)
 
     def best_rate_for_snr(self, snr_db: float, rates: tuple[float, ...]) -> float:

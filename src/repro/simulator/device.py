@@ -10,21 +10,24 @@ its exchange.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import (
+    ACK_SIZE,
+    CTS_SIZE,
+    RTS_SIZE,
     Dot11Frame,
     FrameSubtype,
+    FrameType,
     ack_frame,
     cts_frame,
     rts_frame,
 )
 from repro.dot11.mac import BROADCAST, MacAddress
-from repro.dot11.phy import DSSS_RATES, Phy
+from repro.dot11.phy import ALL_RATES, DSSS_RATES, Phy
 from repro.dot11.timing import MacTiming
 from repro.simulator.channel import ChannelModel, Mobility, Position
 from repro.simulator.profiles import (
@@ -51,6 +54,21 @@ from repro.simulator.traffic import (
 
 #: A multicast group address (01:00:5e…) used for service frames.
 MULTICAST_GROUP = MacAddress.parse("01:00:5e:00:00:fb")
+
+#: Subtype classes the per-frame path branches on, as set lookups
+#: rather than ``subtype.ftype.value`` enum walks.
+_MANAGEMENT_SUBTYPES = frozenset(
+    subtype for subtype in FrameSubtype if subtype.ftype is FrameType.MANAGEMENT
+)
+_DATA_SUBTYPES = frozenset(
+    subtype for subtype in FrameSubtype if subtype.ftype is FrameType.DATA
+)
+#: Subtypes that carry an encryptable payload.
+_PROTECTABLE_SUBTYPES = frozenset({FrameSubtype.DATA, FrameSubtype.QOS_DATA})
+#: Null-function frames carry no payload, hence nothing to protect.
+_NULL_SUBTYPES = frozenset({FrameSubtype.NULL_FUNCTION, FrameSubtype.QOS_NULL})
+#: Destination classes sent at a basic rate without acknowledgement.
+_GROUP_DESTINATIONS = frozenset({DST_BROADCAST, DST_MULTICAST})
 
 
 def build_rate_control(
@@ -147,6 +165,30 @@ class Station:
         # Responder SIFS personality of the AP answering this station is
         # configured by the scenario (affects CTS/ACK gaps we observe).
         self.responder_sifs_offset_us = 0.0
+        # Per-station tables: the basic rate for management and group
+        # frames, and per data rate the control-response rate with the
+        # CTS, ACK and RTS airtimes at that rate.
+        self._basic_rate = 1.0 if 1.0 in self.phy.supported_rates else 6.0
+        self._control: dict[float, tuple[float, float, float, float]] = {}
+        for rate in ALL_RATES:
+            ctl_rate = self.control_response_rate(rate)
+            self._control[rate] = (
+                ctl_rate,
+                self.phy.airtime_us(CTS_SIZE, ctl_rate),
+                self.phy.airtime_us(ACK_SIZE, ctl_rate),
+                self.phy.airtime_us(RTS_SIZE, ctl_rate),
+            )
+        # Link cache (see ``_track_links``), keyed on the identity of
+        # the station's, the peer's and the monitor's ``Position``; the
+        # distances are those of the latest exchange.
+        self._position_key: Position | None = None
+        self._peer_key: Position | None = None
+        self._monitor_key: Position | None = None
+        self.peer_distance_m = 0.0
+        self.monitor_distance_m = 0.0
+        self._peer_loss_db = 0.0
+        self._monitor_link = (0.0, 0.0)
+        self._responder_link = (0.0, 0.0)
 
     # ------------------------------------------------------------------
     # Queue / contention state
@@ -226,22 +268,17 @@ class Station:
         what the application asked for — the QoS-vs-legacy frame-type
         mix is itself part of a card's fingerprint.
         """
+        subtype = app_frame.subtype
         if not self.profile.qos_capable:
-            downgraded = self._QOS_DOWNGRADE.get(app_frame.subtype)
-            if downgraded is not None:
-                app_frame = replace(app_frame, subtype=downgraded)
+            subtype = self._QOS_DOWNGRADE.get(subtype, subtype)
         destination = self._destination(app_frame)
-        protect = (
-            self.encrypted
-            and app_frame.subtype
-            in (FrameSubtype.DATA, FrameSubtype.QOS_DATA)
-        )
+        protect = self.encrypted and subtype in _PROTECTABLE_SUBTYPES
         size = app_frame.size + (8 if protect else 0)
-        if app_frame.subtype in (FrameSubtype.NULL_FUNCTION, FrameSubtype.QOS_NULL):
+        if subtype in _NULL_SUBTYPES:
             size = app_frame.size  # null frames carry no payload to protect
-        is_data = app_frame.subtype.ftype.value == 2
+        is_data = subtype in _DATA_SUBTYPES
         return Dot11Frame(
-            subtype=app_frame.subtype,
+            subtype=subtype,
             size=max(size, 28),
             addr1=destination,
             addr2=self.mac,
@@ -255,13 +292,13 @@ class Station:
         )
 
     def data_rate_for(self, app_frame: AppFrame) -> float:
-        """Rate selection: management/group frames go at a basic rate,
-        unicast data at the rate controller's choice."""
-        if app_frame.subtype.ftype.value == 0:  # management
-            return 1.0 if 1.0 in self.phy.supported_rates else 6.0
-        if app_frame.destination in (DST_BROADCAST, DST_MULTICAST):
-            # Group-addressed data goes at a low basic rate.
-            return 1.0 if 1.0 in self.phy.supported_rates else 6.0
+        """Rate selection: management and group-addressed frames go at
+        a low basic rate, unicast data at the rate controller's choice."""
+        if (
+            app_frame.subtype in _MANAGEMENT_SUBTYPES
+            or app_frame.destination in _GROUP_DESTINATIONS
+        ):
+            return self._basic_rate
         return self.phy.clamp_rate(self.rate_control.current_rate())
 
     def control_response_rate(self, data_rate: float) -> float:
@@ -277,32 +314,55 @@ class Station:
         """Current position (advances the mobility process)."""
         return self.mobility.position_at(time_us, self.rng)
 
+    def _track_links(self, position: Position) -> None:
+        """Refresh the cached link geometry for a station at ``position``.
+
+        Distances and mean path losses to the peer and the monitor (and
+        the peer's own loss to the monitor, for CTS/ACK captures) are
+        recomputed only when one of the three ``Position`` objects is
+        replaced: static stations compute them once, moving stations once
+        per step.  The cache holds one entry, so it stays bounded however
+        far a station roams.  The channel model is fixed per station.
+        """
+        peer, monitor = self.peer_position, self.monitor_position
+        channel = self.channel_model
+        if peer is not self._peer_key or monitor is not self._monitor_key:
+            self._peer_key, self._monitor_key = peer, monitor
+            self._responder_link = self._monitor_link_at(peer.distance_to(monitor))
+            self._position_key = None
+        if position is not self._position_key:
+            self._position_key = position
+            self.peer_distance_m = position.distance_to(peer)
+            self.monitor_distance_m = position.distance_to(monitor)
+            self._peer_loss_db = channel.path_loss_db(self.peer_distance_m)
+            self._monitor_link = self._monitor_link_at(self.monitor_distance_m)
+
+    def _monitor_link_at(self, distance_m: float) -> tuple[float, float]:
+        """(mean path loss, captured signal) of a sender ``distance_m``
+        from the monitor."""
+        channel = self.channel_model
+        loss = channel.path_loss_db(distance_m)
+        return loss, max(-95.0, channel.tx_power_dbm - loss)
+
     def _capture(
         self,
         captures: list[CapturedFrame],
         end_time_us: float,
         frame: Dot11Frame,
         rate: float,
-        sender_position: Position,
+        link: tuple[float, float],
     ) -> None:
-        """Append a monitor capture draw for one on-air frame."""
-        distance = sender_position.distance_to(self.monitor_position)
-        if self.channel_model.monitor_captures(distance, rate, frame.size, self.rng):
-            signal = self.channel_model.tx_power_dbm - (
-                self.channel_model.reference_loss_db
-                + 10
-                * self.channel_model.path_loss_exponent
-                * math.log10(max(distance, 0.5))
-            )
+        """Append a monitor capture draw for one on-air frame sent over
+        ``link`` (a ``_monitor_link_at`` pair)."""
+        loss, signal = link
+        if self.channel_model.monitor_decodes(loss, rate, frame.size, self.rng):
             captures.append(
-                CapturedFrame(
-                    timestamp_us=end_time_us,
-                    frame=frame,
-                    rate_mbps=rate,
-                    signal_dbm=max(-95.0, signal),
-                    channel=self.channel_number,
-                )
+                CapturedFrame(end_time_us, frame, rate, signal, self.channel_number)
             )
+
+    def _uses_rts(self, frame: Dot11Frame, unicast: bool) -> bool:
+        threshold = self.profile.rts_threshold
+        return unicast and threshold is not None and frame.size > threshold
 
     def execute_exchange(self, tx_start_us: float) -> ExchangeOutcome:
         """Run a full medium access starting at ``tx_start_us``.
@@ -317,8 +377,9 @@ class Station:
         retry = self.retry_count > 0
         frame = self.materialize(app_frame, retry)
         rate = self.data_rate_for(app_frame)
-        my_position = self.position_at(tx_start_us)
-        distance_peer = my_position.distance_to(self.peer_position)
+        self._track_links(self.position_at(tx_start_us))
+        channel = self.channel_model
+        rng = self.rng
         # Any unicast frame is acknowledged; group-addressed frames
         # (broadcast data, probe requests, beacons) are fire-and-forget.
         needs_ack = not frame.addr1.is_multicast
@@ -327,29 +388,19 @@ class Station:
         sifs = self.timing.sifs_us
         responder_sifs = sifs + self.responder_sifs_offset_us
         now = tx_start_us
+        data_air = self.phy.airtime_us(frame.size, rate)
+        ctl_rate, cts_air, ack_air, rts_air = self._control[rate]
 
         # SNR hint for rate control (driver channel estimation).
-        snr_hint = self.channel_model.snr_db(distance_peer, self.rng)
+        snr_hint = channel.link_snr_db(self._peer_loss_db, rng)
         self.rate_control.on_snr_hint(snr_hint)
 
-        use_rts = (
-            needs_ack
-            and self.profile.rts_threshold is not None
-            and frame.size > self.profile.rts_threshold
-        )
-        if use_rts:
-            data_air = self.phy.airtime_us(frame.size, rate)
-            ctl_rate = self.control_response_rate(rate)
-            cts_air = self.phy.airtime_us(14, ctl_rate)
-            ack_air = self.phy.airtime_us(14, ctl_rate)
+        if self._uses_rts(frame, needs_ack):
             nav = round(3 * sifs + cts_air + data_air + ack_air)
             rts = rts_frame(self.mac, frame.addr1, nav)
-            rts_air = self.phy.airtime_us(rts.size, ctl_rate)
             rts_end = now + rts_air
-            self._capture(captures, rts_end, rts, ctl_rate, my_position)
-            rts_ok = self.channel_model.frame_succeeds(
-                distance_peer, ctl_rate, rts.size, self.rng
-            )
+            self._capture(captures, rts_end, rts, ctl_rate, self._monitor_link)
+            rts_ok = channel.link_succeeds(self._peer_loss_db, ctl_rate, rts.size, rng)
             if not rts_ok:
                 # No CTS: the sender times out and recontends.
                 self._on_failure()
@@ -361,12 +412,11 @@ class Station:
                 )
             cts = cts_frame(self.mac, max(0, nav - round(sifs + cts_air)))
             cts_end = rts_end + responder_sifs + cts_air
-            self._capture(captures, cts_end, cts, ctl_rate, self.peer_position)
+            self._capture(captures, cts_end, cts, ctl_rate, self._responder_link)
             now = cts_end + sifs
         # Data (or management/null) frame itself.
-        data_air = self.phy.airtime_us(frame.size, rate)
         data_end = now + data_air
-        self._capture(captures, data_end, frame, rate, my_position)
+        self._capture(captures, data_end, frame, rate, self._monitor_link)
 
         if not needs_ack:
             # Group-addressed / management-broadcast: fire and forget.
@@ -375,22 +425,18 @@ class Station:
                 captures=captures, busy_until_us=data_end, dequeued=True, aired=aired
             )
 
-        data_ok = self.channel_model.frame_succeeds(
-            distance_peer, rate, frame.size, self.rng
-        )
+        data_ok = channel.link_succeeds(self._peer_loss_db, rate, frame.size, rng)
         if not data_ok:
             self._on_failure()
-            ack_air = self.phy.airtime_us(14, self.control_response_rate(rate))
             return ExchangeOutcome(
                 captures=captures,
                 busy_until_us=data_end + sifs + ack_air,
                 dequeued=False,
                 aired=aired,
             )
-        ctl_rate = self.control_response_rate(rate)
         ack = ack_frame(self.mac)
-        ack_end = data_end + responder_sifs + self.phy.airtime_us(ack.size, ctl_rate)
-        self._capture(captures, ack_end, ack, ctl_rate, self.peer_position)
+        ack_end = data_end + responder_sifs + ack_air
+        self._capture(captures, ack_end, ack, ctl_rate, self._responder_link)
         self._on_success()
         return ExchangeOutcome(
             captures=captures, busy_until_us=ack_end, dequeued=True, aired=aired
@@ -405,14 +451,10 @@ class Station:
         frame = self.materialize(app_frame, self.retry_count > 0)
         rate = self.data_rate_for(app_frame)
         unicast = not frame.addr1.is_multicast
-        use_rts = (
-            unicast
-            and self.profile.rts_threshold is not None
-            and frame.size > self.profile.rts_threshold
-        )
-        size = 20 if use_rts else frame.size
-        ctl_rate = self.control_response_rate(rate)
-        air = self.phy.airtime_us(size, ctl_rate if use_rts else rate)
+        if self._uses_rts(frame, unicast):
+            air = self._control[rate][3]  # only the RTS airs
+        else:
+            air = self.phy.airtime_us(frame.size, rate)
         self.stats.collisions += 1
         if unicast:
             self._on_failure()

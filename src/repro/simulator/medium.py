@@ -14,11 +14,15 @@ The medium serialises transmissions on one channel.  Contention follows
   (freeze semantics) and resume in the next idle period.
 
 Event-queue staleness is handled with generation tokens so arbitration
-can be recomputed whenever membership changes.
+can be recomputed whenever membership changes.  Every change to the
+contention state (a join, a finished round) bumps the generation, so
+the contender times computed when a round is scheduled are still valid
+when it fires: each round computes every contender's access time once.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
 from repro.dot11.capture import CapturedFrame
@@ -28,6 +32,10 @@ from repro.simulator.events import EventQueue
 
 #: Signature of reactive hooks: (sender, frame, air-end time in µs).
 AiredHook = Callable[[Station, Dot11Frame, float], None]
+
+#: One contender in a round: (transmit time, round start, station).
+_Timed = tuple[float, float, Station]
+_by_tx_time = itemgetter(0)
 
 
 class Medium:
@@ -42,6 +50,9 @@ class Medium:
         #: Reactive listeners (e.g. an AP answering probe requests).
         self.aired_hooks: list[AiredHook] = []
         self._generation = 0
+        #: Every contender's times in the round scheduled under
+        #: ``_generation``, in join order.
+        self._timed: list[_Timed] = []
         self._exchanges = 0
         self._collision_rounds = 0
 
@@ -61,14 +72,11 @@ class Medium:
         if station in self.contenders:
             return
         self.contenders[station] = now_us
-        if now_us >= self.busy_until and not self._busy_event_pending(now_us):
+        if now_us >= self.busy_until:
             # Medium is idle: this join opens (or extends) a contention
             # round anchored at the later of idle start and join time.
             self.contention_start = max(self.contention_start, self.busy_until)
         self._reschedule(now_us)
-
-    def _busy_event_pending(self, now_us: float) -> bool:
-        return now_us < self.busy_until
 
     # ------------------------------------------------------------------
     def _reschedule(self, now_us: float) -> None:
@@ -78,14 +86,11 @@ class Medium:
         if not self.contenders:
             return
         anchor = max(self.contention_start, self.busy_until)
-        earliest = None
+        timed = self._timed = []
         for station, join_us in self.contenders.items():
             start = max(anchor, join_us)
-            tx_time = station.access_time(start)
-            if earliest is None or tx_time < earliest:
-                earliest = tx_time
-        assert earliest is not None
-        fire_at = max(earliest, now_us)
+            timed.append((station.access_time(start), start, station))
+        fire_at = max(min(timed, key=_by_tx_time)[0], now_us)
         self.queue.schedule(fire_at, lambda: self._fire(generation))
 
     def _fire(self, generation: int) -> None:
@@ -93,16 +98,12 @@ class Medium:
         if generation != self._generation:
             return  # superseded by a membership change
         now = self.queue.now
-        anchor = max(self.contention_start, self.busy_until)
-        timed: list[tuple[float, Station]] = []
-        for station, join_us in self.contenders.items():
-            start = max(anchor, join_us)
-            timed.append((station.access_time(start), station))
-        timed.sort(key=lambda pair: pair[0])
-        win_time, winner = timed[0]
+        # Stable sort: equal transmit times keep join order.
+        timed = sorted(self._timed, key=_by_tx_time)
+        win_time, _start, winner = timed[0]
         slot = winner.timing.slot_us
         colliders = [
-            station for tx, station in timed[1:] if tx - win_time < slot / 2
+            station for tx, _start, station in timed[1:] if tx - win_time < slot / 2
         ]
 
         self._exchanges += 1
@@ -121,11 +122,9 @@ class Medium:
             aired_frames = outcome.aired
 
         # Freeze semantics for everyone who lost this round.
-        for tx_time, station in timed:
-            if station in participants:
-                continue
-            start = max(anchor, self.contenders[station])
-            station.consume_elapsed_slots(win_time, start)
+        for _tx, start, station in timed:
+            if station not in participants:
+                station.consume_elapsed_slots(win_time, start)
 
         for station in participants:
             if not station.wants_medium:

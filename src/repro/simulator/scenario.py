@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.dot11.capture import CapturedFrame
 from repro.dot11.frames import Dot11Frame
@@ -26,6 +26,9 @@ from repro.simulator.events import EventQueue
 from repro.simulator.medium import Medium
 from repro.simulator.profiles import DeviceProfile, profile_by_name
 from repro.simulator.traffic import PowerSaveService, ProbeScanService, TrafficSource
+
+if TYPE_CHECKING:
+    from repro.traces.trace import Trace
 
 
 @dataclass
@@ -72,6 +75,18 @@ class SimulationResult:
     def frame_count(self) -> int:
         """Number of frames the monitor captured."""
         return len(self.captures)
+
+    def to_trace(self, name: str = "", encrypted: bool = False) -> Trace:
+        """The capture as a ground-truth :class:`~repro.traces.trace.Trace`
+        (sharing ``captures``, labelled with ``station_names``)."""
+        from repro.traces.trace import Trace
+
+        return Trace(
+            frames=self.captures,
+            name=name,
+            encrypted=encrypted,
+            device_names=self.station_names,
+        )
 
     def table(self):
         """The capture as a columnar

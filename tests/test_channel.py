@@ -61,12 +61,9 @@ class TestSuccessProbability:
     def test_noiseless_channel_always_succeeds(self):
         channel = ChannelModel(noiseless=True)
         rng = random.Random(1)
-        assert all(
-            channel.frame_succeeds(100.0, 54.0, 2000, rng) for _ in range(100)
-        )
-        assert all(
-            channel.monitor_captures(100.0, 54.0, 2000, rng) for _ in range(100)
-        )
+        far = channel.path_loss_db(100.0)
+        assert all(channel.link_succeeds(far, 54.0, 2000, rng) for _ in range(100))
+        assert all(channel.monitor_decodes(far, 54.0, 2000, rng) for _ in range(100))
 
     def test_every_rate_has_threshold(self):
         from repro.dot11.phy import ALL_RATES

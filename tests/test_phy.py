@@ -71,6 +71,36 @@ class TestAirtime:
         assert airtime >= paper_transmission_time_us(size, rate) - 1e-9
 
 
+class TestAirtimeMemo:
+    """``frame_airtime_us`` is memoised; the cache must be invisible."""
+
+    def test_memo_equals_uncached_formula(self):
+        uncached = frame_airtime_us.__wrapped__
+        for short_preamble in (True, False):
+            phy = Phy(short_preamble=short_preamble)
+            for rate in ALL_RATES:
+                for size in range(1, 2347):
+                    expected = uncached(size, rate, short_preamble)
+                    assert frame_airtime_us(size, rate, short_preamble) == expected
+                    # Second call: served from the cache.
+                    assert frame_airtime_us(size, rate, short_preamble) == expected
+                    assert phy.airtime_us(size, rate) == expected
+
+    @pytest.mark.parametrize(
+        ("size", "rate"), [(0, 54.0), (-1, 54.0), (-1500, 1.0), (100, 13.0), (100, 0.0)]
+    )
+    def test_invalid_input_raises_with_warm_cache(self, size, rate):
+        for valid_size in (14, 100, 1500):
+            for valid_rate in ALL_RATES:
+                frame_airtime_us(valid_size, valid_rate)
+        assert frame_airtime_us.cache_info().currsize > 0
+        for _ in range(2):  # a raising call is never cached
+            with pytest.raises(ValueError):
+                frame_airtime_us(size, rate)
+            with pytest.raises(ValueError):
+                PHY_BG.airtime_us(size, rate)
+
+
 class TestPaperTransmissionTime:
     def test_units(self):
         # 1500 bytes at 54 Mbps: 12000 bits / 54 Mbps = 222.2 µs.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from collections import Counter
 
@@ -23,6 +25,7 @@ from repro.simulator.events import EventQueue
 from repro.simulator.medium import Medium
 from repro.simulator.profiles import profile_by_name
 from repro.simulator.traffic import AppFrame
+from tests.capture_digest import GOLDEN_PATH, compute_digests
 
 
 def _make_station(seed: int = 1, profile: str = "intel-2200bg-linux") -> Station:
@@ -114,6 +117,63 @@ class TestStation:
         data = next(c for c in outcome.captures if c.subtype is FrameSubtype.QOS_DATA)
         assert data.frame.protected
         assert data.size == 508  # +8 bytes CCMP overhead
+
+
+class TestLinkCache:
+    """A station's cached link geometry always equals a fresh computation."""
+
+    def _roaming_station(self) -> Station:
+        channel = ChannelModel(path_loss_exponent=3.4, shadowing_sigma_db=3.0)
+        station = Station(
+            mac=MacAddress.parse("00:13:e8:00:00:01"),
+            profile=profile_by_name("samsung-mobile"),
+            channel_model=channel,
+            network_timing=TIMING_BG_MIXED,
+            rng=random.Random(3),
+            mobility=Mobility(
+                area_m=60.0, speed_mps=4.0, pause_s=0.2, _position=Position(1, 1)
+            ),
+            bssid=MacAddress.parse("00:0f:b5:0a:00:00"),
+        )
+        station.peer_position = Position(30.0, 30.0)
+        station.monitor_position = Position(20.0, 35.0)
+        return station
+
+    def test_moving_station_distances_match_fresh_geometry(self):
+        station = self._roaming_station()
+        channel = station.channel_model
+        positions = set()
+        for step in range(400):
+            now = 10_000.0 + step * 50_000.0
+            if step == 200:
+                # Replacing an end point invalidates the cache too.
+                station.peer_position = Position(5.0, 50.0)
+            station.enqueue(AppFrame(subtype=FrameSubtype.QOS_DATA, size=900))
+            outcome = station.execute_exchange(now)
+            position = station.position_at(now)  # no new draw: same instant
+            positions.add((position.x, position.y))
+            peer_distance = position.distance_to(station.peer_position)
+            monitor_distance = position.distance_to(station.monitor_position)
+            assert station.peer_distance_m == peer_distance
+            assert station.monitor_distance_m == monitor_distance
+            peer_to_monitor = station.peer_position.distance_to(station.monitor_position)
+            own_signal = channel.tx_power_dbm - channel.path_loss_db(monitor_distance)
+            peer_signal = channel.tx_power_dbm - channel.path_loss_db(peer_to_monitor)
+            for captured in outcome.captures:
+                sent_by_peer = captured.sender is None  # CTS/ACK
+                expected = peer_signal if sent_by_peer else own_signal
+                assert captured.signal_dbm == max(-95.0, expected)
+            station.queue.clear()
+            station.backoff_counter = None
+        assert len(positions) > 50  # the station really moved
+
+    def test_path_loss_is_the_snr_formula(self):
+        channel = ChannelModel(path_loss_exponent=3.1, shadowing_sigma_db=2.0)
+        for distance in (0.1, 0.5, 1.0, 7.3, 42.0):
+            loss = channel.path_loss_db(distance)
+            snr = channel.snr_db(distance, random.Random(9))
+            shadowing = random.Random(9).gauss(0.0, channel.shadowing_sigma_db)
+            assert snr == channel.tx_power_dbm - loss + shadowing - channel.noise_floor_dbm
 
 
 class TestMedium:
@@ -274,3 +334,26 @@ class TestScenario:
         result = scenario.run()
         assert result.collision_rounds > 0
         assert result.frame_count > 1000
+
+
+class TestCaptureDigests:
+    """Bit-identity of the simulator's captures (and RNG draw order)."""
+
+    def test_captures_match_golden_digests(self):
+        digests = compute_digests()
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+            pytest.skip(f"golden file regenerated at {GOLDEN_PATH}")
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert set(digests) == set(golden), "digest case set drifted"
+        for name, expected in golden.items():
+            assert digests[name] == expected, f"{name}: captures drifted"
+
+    def test_digest_covers_every_preset_and_dataset(self):
+        from repro.scenarios import scenario_names
+
+        golden = json.loads(GOLDEN_PATH.read_text())
+        presets = {name for name in golden if name.startswith("preset/")}
+        assert presets == {f"preset/{name}" for name in scenario_names()}
+        assert sum(name.startswith("dataset/") for name in golden) == 4
+        assert all(entry["frames"] > 1000 for entry in golden.values())
